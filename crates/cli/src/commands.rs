@@ -830,8 +830,12 @@ mod tests {
     use super::*;
 
     fn temp_model() -> (tempdir::TempDirLike, String) {
-        // Minimal home-grown temp dir (std only).
-        let dir = std::env::temp_dir().join(format!("snapea-cli-test-{}", std::process::id()));
+        // Minimal home-grown temp dir (std only), one per call: the tests
+        // run concurrently, and a shared dir let one test's cleanup delete
+        // the model another was about to read.
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let id = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("snapea-cli-test-{}-{id}", std::process::id()));
         let _ = fs::create_dir_all(&dir);
         let path = dir.join("model.json").to_string_lossy().into_owned();
         let net = Workload::SqueezeNet.build(10);

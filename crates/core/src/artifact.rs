@@ -270,7 +270,7 @@ pub struct CompiledLayer {
     node: NodeId,
     in_h: usize,
     in_w: usize,
-    kernels: Vec<KernelExec>,
+    config: LayerConfig,
     q16: Vec<Vec<Q16>>,
     plan: Arc<WindowPlan>,
 }
@@ -288,7 +288,7 @@ impl CompiledLayer {
 
     /// Per-kernel execution states (reordered weights + PAU).
     pub fn kernels(&self) -> &[KernelExec] {
-        &self.kernels
+        self.config.kernels()
     }
 
     /// Pre-quantized q16 weights, one vector per kernel, in reordered
@@ -353,9 +353,9 @@ impl CompiledModel {
                 Some(&src) => acts[src].shape(),
                 None => continue,
             };
-            let cfg = LayerConfig::from_params(conv, p);
-            let kernels = cfg.kernels().to_vec();
-            let q16 = kernels
+            let config = LayerConfig::from_params(conv, p);
+            let q16 = config
+                .kernels()
                 .iter()
                 .map(|k| quantize_slice(fmt, k.reordered.weights()))
                 .collect();
@@ -364,7 +364,7 @@ impl CompiledModel {
                 node: id,
                 in_h: in_shape.h,
                 in_w: in_shape.w,
-                kernels,
+                config,
                 q16,
                 plan,
             });
@@ -427,12 +427,13 @@ impl CompiledModel {
         }
     }
 
-    /// Per-layer executor configurations built from the stored kernels —
-    /// the run-time twin of `SpecNet`'s fresh-reorder path.
+    /// Per-layer executor configurations, cloned from the stored ones —
+    /// the run-time twin of `SpecNet`'s fresh-reorder path (`forward`
+    /// borrows them instead).
     pub fn configs(&self) -> BTreeMap<NodeId, LayerConfig> {
         self.layers
             .iter()
-            .map(|l| (l.node, LayerConfig::from_kernels(l.kernels.clone())))
+            .map(|l| (l.node, l.config.clone()))
             .collect()
     }
 
@@ -453,7 +454,8 @@ impl CompiledModel {
         );
         let _span = snapea_obs::span!("artifact/forward");
         self.install_plans();
-        let configs = self.configs();
+        let configs: BTreeMap<NodeId, &LayerConfig> =
+            self.layers.iter().map(|l| (l.node, &l.config)).collect();
         self.graph.forward_with(input, &mut |id, conv, x| {
             configs
                 .get(&id)
@@ -632,8 +634,8 @@ impl CompiledModel {
             w.usize32(l.node);
             w.usize32(l.in_h);
             w.usize32(l.in_w);
-            w.usize32(l.kernels.len());
-            for (k, q) in l.kernels.iter().zip(&l.q16) {
+            w.usize32(l.kernels().len());
+            for (k, q) in l.kernels().iter().zip(&l.q16) {
                 let r = &k.reordered;
                 w.usize32(r.len());
                 for &i in r.order() {
@@ -676,8 +678,8 @@ impl CompiledModel {
         w.usize32(self.layers.len());
         for l in &self.layers {
             w.usize32(l.node);
-            w.usize32(l.kernels.len());
-            for k in &l.kernels {
+            w.usize32(l.kernels().len());
+            for k in l.kernels() {
                 w.usize32(k.packed().len());
                 for &v in k.packed() {
                     w.f32(v);
@@ -713,13 +715,13 @@ fn validate_packed(bytes: &[u8], layers: &[CompiledLayer]) -> Result<(), Artifac
             )));
         }
         let n_kernels = r.len32()?;
-        if n_kernels != l.kernels.len() {
+        if n_kernels != l.kernels().len() {
             return Err(invalid(format!(
                 "node {node}: {n_kernels} packed kernel(s), LAYERS holds {}",
-                l.kernels.len()
+                l.kernels().len()
             )));
         }
-        for (k, kexec) in l.kernels.iter().enumerate() {
+        for (k, kexec) in l.kernels().iter().enumerate() {
             let len = r.len32()?;
             let expect = kexec.packed();
             if len != expect.len() {
@@ -1258,7 +1260,7 @@ fn decode_layers(
             node,
             in_h,
             in_w,
-            kernels,
+            config: LayerConfig::from_kernels(kernels),
             q16,
             plan: Arc::new(plan),
         });

@@ -2,6 +2,12 @@
 //! weight-by-weight in the reordered order, probing the PAU before each MAC
 //! exactly as the hardware lanes do (paper §V), and records the per-window
 //! operation counts — the function `Op(o, Th, N)` of the paper's Eq. (1).
+//!
+//! Like the PE, the walk is window-major: each reordered weight is
+//! broadcast over a tile of windows lowered tap-major by im2col, and every
+//! window stops on its own (DESIGN.md §6). [`run_window`] is the one
+//! per-window walk, kept as the reference and as the fallback for the
+//! kernels the broadcast walk cannot take bit-exactly.
 
 use crate::params::{KernelMode, KernelParams, LayerParams};
 use crate::pau::{Pau, PauAction, TerminationKind};
@@ -424,10 +430,10 @@ impl GatherTable {
 /// `base + delta[i]`, where `delta[i] = (c*h + ky)*w + kx` depends only on
 /// the original weight index and the input shape, and `base` is the window's
 /// top-left input offset. Permuting `delta` by a kernel's reorder
-/// ([`WindowPlan::resolve`]) yields taps already in walk order, so the
-/// interior hot loop needs no `order[p]` indirection and no `off >= 0`
-/// padding branch. Border windows (any padding tap) keep the general
-/// gather-table path.
+/// ([`WindowPlan::resolve`]) yields taps already in walk order, so the q16
+/// walk's interior hot loop needs no `order[p]` indirection and no
+/// `off >= 0` padding branch. Border windows (any padding tap) keep the
+/// general gather-table path, which is also the f32 per-window fallback's.
 ///
 /// Plans depend only on `(input.h, input.w, c_in, geom)` and are memoised by
 /// [`layer_plan`].
@@ -606,7 +612,7 @@ struct PlanKey {
 /// Entry cap before the plan cache is wiped wholesale — the executor sees a
 /// handful of geometries per network, but fuzzers (selfcheck) churn through
 /// hundreds; the cap bounds their footprint without an LRU's bookkeeping.
-const PLAN_CACHE_CAP: usize = 256;
+pub const PLAN_CACHE_CAP: usize = 256;
 
 fn plan_cache(
 ) -> &'static std::sync::Mutex<std::collections::BTreeMap<PlanKey, std::sync::Arc<WindowPlan>>> {
@@ -666,7 +672,9 @@ fn layer_plan_entry(
 /// [`layer_plan`] would compute for `(input h/w, geom, c_in)` — the
 /// compiled-model artifact loader uses this so the first execution of a
 /// loaded model skips plan construction. An already-cached plan for the key
-/// is left in place (both are deterministic functions of the key).
+/// is left in place (both are deterministic functions of the key), and only
+/// inserting a new key can trigger the wholesale wipe at the cap — so a full
+/// cache survives every `CompiledModel::forward` that re-installs its plans.
 pub fn install_plan(
     h: usize,
     w: usize,
@@ -676,10 +684,13 @@ pub fn install_plan(
 ) {
     let key = PlanKey { h, w, c_in, geom };
     let mut map = lock_plan_cache();
+    if map.contains_key(&key) {
+        return;
+    }
     if map.len() >= PLAN_CACHE_CAP {
         map.clear();
     }
-    map.entry(key).or_insert(plan);
+    map.insert(key, plan);
 }
 
 /// Number of plans currently cached (test hook).
@@ -737,30 +748,43 @@ fn terminated(ops: usize, acc: f32, kind: TerminationKind) -> WindowResult {
     }
 }
 
-/// Continues a window walk from position `start` with partial sum `acc`,
-/// where `start` must be the walk's unconditional-prefix length
-/// ([`unconditional_prefix_len`]). `mac(p, acc)` performs the MAC at
-/// position `p` and returns the new partial sum.
+/// Walks a single convolution window: probes the PAU exactly as the hardware
+/// lanes do before each MAC, terminates when it says so. `item` is the
+/// image's contiguous `c*h*w` slice; `taps` maps original weight indices to
+/// offsets (−1 = padding). Padding taps still occupy a MAC slot in the
+/// hardware walk: the weight is broadcast and the lane multiplies by zero.
 ///
-/// This is the *phase-split* form of the per-MAC probe loop: one probe at
-/// the speculative boundary, an unconditional run to `neg_start`, then a
-/// probed walk through the negative region. The probe outcomes — and hence
-/// `ops`, `output` and `termination` — are bit-identical to probing before
-/// every MAC, because [`Pau::probe`] returns `Continue` unconditionally at
-/// every skipped position.
-#[inline(always)]
-fn walk_window_from(
-    pau: &Pau,
-    len: usize,
-    mut acc: f32,
-    start: usize,
-    mut mac: impl FnMut(usize, f32) -> f32,
-) -> WindowResult {
-    debug_assert_eq!(start, unconditional_prefix_len(pau, len));
-    let spec_probe = spec_probe_pos(pau);
-    let ns = pau.neg_start();
-    let mut p = start;
-    if p < len && p == spec_probe {
+/// The accumulation follows the pinned lane order (`snapea_tensor::lane`
+/// module docs): the lane-tree sum of positions `0..m8` is added to the
+/// bias only when `m8 > 0`, then positions `m8..` run sequentially. The
+/// probes are phase-split — one probe at the speculative boundary, an
+/// unconditional run to `neg_start`, then a probed walk through the
+/// negative region — which is bit-identical to probing before every MAC,
+/// because [`Pau::probe`] returns `Continue` at every skipped position.
+pub fn run_window(kernel: &KernelExec, taps: &[i32], item: &[f32], bias: f32) -> WindowResult {
+    let weights = kernel.reordered.weights();
+    let order = kernel.reordered.order();
+    let pau = &kernel.pau;
+    let len = weights.len();
+    let mac = |p: usize, acc: f32| {
+        let off = taps[order[p] as usize];
+        if off >= 0 {
+            acc + item[off as usize] * weights[p]
+        } else {
+            acc
+        }
+    };
+    let stop1 = unconditional_prefix_len(pau, len);
+    let m8 = snapea_tensor::lane::lane_prefix_len(stop1);
+    let mut acc = bias;
+    if m8 > 0 {
+        acc = bias + snapea_tensor::lane::lane_dot_gather(kernel.packed(), order, taps, item, m8);
+    }
+    for p in m8..stop1 {
+        acc = mac(p, acc);
+    }
+    let mut p = stop1;
+    if p < len && p == spec_probe_pos(pau) {
         // The full probe also covers the spec_len == neg_start tie, where a
         // prediction outranks the sign check.
         if let PauAction::Terminate(kind) = pau.probe(p, acc) {
@@ -768,8 +792,7 @@ fn walk_window_from(
         }
         acc = mac(p, acc);
         p += 1;
-        let stop = ns.min(len);
-        while p < stop {
+        while p < pau.neg_start().min(len) {
             acc = mac(p, acc);
             p += 1;
         }
@@ -786,79 +809,6 @@ fn walk_window_from(
         output: acc,
         termination: None,
     }
-}
-
-/// Runs a full window walk (lane prefix + sequential remainder + probed
-/// phases) through `mac`, in the pinned lane order (`snapea_tensor::lane`
-/// module docs): `lane_prefix(m8)` must return the lane-tree sum of
-/// positions `0..m8` (called only when `m8 > 0`, so an empty lane region
-/// leaves the bias bit-untouched), and positions `m8..` run sequentially
-/// through `mac`.
-#[inline(always)]
-fn walk_window(
-    pau: &Pau,
-    len: usize,
-    bias: f32,
-    lane_prefix: impl FnOnce(usize) -> f32,
-    mut mac: impl FnMut(usize, f32) -> f32,
-) -> WindowResult {
-    let stop1 = unconditional_prefix_len(pau, len);
-    let m8 = snapea_tensor::lane::lane_prefix_len(stop1);
-    let mut acc = bias;
-    if m8 > 0 {
-        acc = bias + lane_prefix(m8);
-    }
-    for p in m8..stop1 {
-        acc = mac(p, acc);
-    }
-    walk_window_from(pau, len, acc, stop1, mac)
-}
-
-/// Walks a single convolution window: probes the PAU exactly as the hardware
-/// lanes do before each MAC, terminates when it says so. `item` is the
-/// image's contiguous `c*h*w` slice; `taps` maps original weight indices to
-/// offsets (−1 = padding). Padding taps still occupy a MAC slot in the
-/// hardware walk: the weight is broadcast and the lane multiplies by zero.
-#[inline]
-pub fn run_window(kernel: &KernelExec, taps: &[i32], item: &[f32], bias: f32) -> WindowResult {
-    let weights = kernel.reordered.weights();
-    let order = kernel.reordered.order();
-    walk_window(
-        &kernel.pau,
-        weights.len(),
-        bias,
-        |m8| snapea_tensor::lane::lane_dot_gather(kernel.packed(), order, taps, item, m8),
-        |p, acc| {
-            let off = taps[order[p] as usize];
-            if off >= 0 {
-                acc + item[off as usize] * weights[p]
-            } else {
-                acc
-            }
-        },
-    )
-}
-
-/// [`run_window`] over an interior window of a [`WindowPlan`]: `resolved`
-/// holds the kernel's taps already permuted into walk order
-/// ([`WindowPlan::resolve`]), so the hot loop is a branch-free
-/// gather-multiply-add.
-#[inline]
-pub fn run_window_resolved(
-    kernel: &KernelExec,
-    resolved: &[i32],
-    base: i32,
-    item: &[f32],
-    bias: f32,
-) -> WindowResult {
-    let weights = kernel.reordered.weights();
-    walk_window(
-        &kernel.pau,
-        weights.len(),
-        bias,
-        |m8| snapea_tensor::lane::lane_dot_resolved(kernel.packed(), resolved, base, item, m8),
-        |p, acc| acc + item[(base + resolved[p]) as usize] * weights[p],
-    )
 }
 
 /// Completes a window's dot product regardless of termination (used for
@@ -885,38 +835,9 @@ fn full_window_value(kernel: &KernelExec, taps: &[i32], item: &[f32], bias: f32)
     acc
 }
 
-/// [`full_window_value`] for an interior window via resolved taps.
-#[inline]
-// lint:allow(P2) p < weights.len() = resolved.len(); base+delta proven in-bounds by WindowPlan::build
-fn full_window_value_resolved(
-    kernel: &KernelExec,
-    resolved: &[i32],
-    base: i32,
-    item: &[f32],
-    bias: f32,
-) -> f32 {
-    let weights = kernel.reordered.weights();
-    let len = weights.len();
-    let m8 = snapea_tensor::lane::lane_prefix_len(unconditional_prefix_len(&kernel.pau, len));
-    let mut acc = bias;
-    if m8 > 0 {
-        acc = bias
-            + snapea_tensor::lane::lane_dot_resolved(kernel.packed(), resolved, base, item, m8);
-    }
-    for p in m8..len {
-        acc += item[(base + resolved[p]) as usize] * weights[p];
-    }
-    acc
-}
-
-/// Interior windows processed per batch by the executor. Eight lanes give
-/// the FPU eight independent accumulator chains, hiding the `fadd` latency
-/// that bounds a single window's strictly-ordered walk.
-const BATCH: usize = 8;
-
-/// How many windows took the eight-wide batched interior path (`lane`)
-/// versus the scalar gather/partial-drain path (`scalar`) — surfaced as
-/// the `exec/lane_windows` / `exec/scalar_windows` counters and on the
+/// How many windows the broadcast walk (`lane`) and the per-window
+/// [`run_window`] fallback (`scalar`) executed — surfaced as the
+/// `exec/lane_windows` / `exec/scalar_windows` counters and on the
 /// `exec/layer` event.
 #[derive(Debug, Default, Clone, Copy)]
 struct LaneCounts {
@@ -931,86 +852,148 @@ impl LaneCounts {
     }
 }
 
-/// Accumulates positions `m8..hi` for [`BATCH`] interior windows at once:
-/// each position loads its resolved tap and weight once and feeds all
-/// eight accumulator chains. Each window's own accumulation order is
-/// unchanged (ascending `p`), so per-window results stay bit-identical to
-/// the scalar walk's sequential remainder.
-#[inline]
-// lint:allow(P2) p < hi <= weights.len() = resolved.len(); interior bases keep base+delta in bounds
-fn batch_span(
-    weights: &[f32],
-    resolved: &[i32],
-    item: &[f32],
-    bases: &[i32; BATCH],
-    acc: &mut [f32; BATCH],
-    m8: usize,
-    hi: usize,
+/// Windows per broadcast tile. A tile's per-window state (eight lane
+/// planes, partial sums, full values, MAC counts, predicted flags — about
+/// 6 KiB) stays in L1 while its rows stream past, and a tile stops walking
+/// as soon as all of its windows have terminated.
+const TILE: usize = 128;
+
+/// Most floats of lowered input one layer call holds at once (8 MiB, under
+/// the scratch arena's pooling cap, so the buffer is reused across calls).
+/// Larger batches are lowered and walked in waves of image groups.
+const LOWERED_CAP: usize = 1 << 21;
+
+/// Per-task scratch of the broadcast walk, sized for one full tile: the
+/// eight lane planes, and per window its partial sum, full value (stats
+/// only), MACs executed in the probed region, and whether the predictive
+/// probe stopped it.
+struct TileBufs {
+    planes: Vec<f32>,
+    acc: Vec<f32>,
+    full: Vec<f32>,
+    macs: Vec<u32>,
+    predicted: Vec<u32>,
+}
+
+impl TileBufs {
+    fn new() -> Self {
+        Self {
+            planes: vec![0.0; snapea_tensor::lane::LANES * TILE],
+            acc: vec![0.0; TILE],
+            full: vec![0.0; TILE],
+            macs: vec![0; TILE],
+            predicted: vec![0; TILE],
+        }
+    }
+}
+
+/// Whether a kernel must take the per-window [`run_window`] walk instead
+/// of the broadcast walk. im2col stores a padding tap as `+0.0`, and the
+/// broadcast walk adds its product where the pinned walk skips padding
+/// taps past the lane region. Adding `+0.0 * w` leaves a partial sum
+/// bit-unchanged unless the sum is `-0.0` (it becomes `+0.0`) or `w` is
+/// not finite (the product is NaN). Under round-to-nearest a partial sum
+/// is `-0.0` only if the bias is `-0.0` and every earlier addend was
+/// `-0.0`, so those two kernel properties are exactly the cases to route
+/// around.
+fn needs_window_walk(kernel: &KernelExec, bias: f32) -> bool {
+    bias.to_bits() == (-0.0f32).to_bits()
+        || kernel.reordered.weights().iter().any(|w| !w.is_finite())
+}
+
+/// Walks one tile of windows for one kernel, window-major: every weight is
+/// broadcast to all of the tile's windows at once, as the PE broadcasts it
+/// to its lanes (paper §V). `x` is the tap-major im2col slab starting at
+/// the tile's first window (tap `i` of window `j` at `x[i * ld + j]`); the
+/// tile has `width` lanes, a multiple of eight, of which the first `real`
+/// are windows (the rest read past the last window and are discarded).
+/// Leaves each window's output in `bufs.acc`, its probed-region MAC count
+/// in `bufs.macs`, whether the prediction stopped it in `bufs.predicted`
+/// and, with `collect_stats`, its full value in `bufs.full`.
+///
+/// Per window, the sums are the pinned lane order bit for bit: positions
+/// `0..m8` go to lane plane `p % 8`, the planes collapse through `tree8`
+/// onto the bias (only when `m8 > 0`), and positions `m8..` add
+/// sequentially. The probed positions run as masked sweeps over the whole
+/// tile until none of its windows is live.
+// lint:allow(P2) positions < len = order/weights length; the tile buffers hold TILE >= width lanes
+#[allow(clippy::too_many_arguments)]
+fn walk_tile(
+    kernel: &KernelExec,
+    bias: f32,
+    x: &[f32],
+    ld: usize,
+    width: usize,
+    real: usize,
+    bufs: &mut TileBufs,
+    collect_stats: bool,
 ) {
-    for p in m8..hi {
-        let d = resolved[p];
-        let w = weights[p];
-        for (a, &b) in acc.iter_mut().zip(bases.iter()) {
-            *a += item[(b + d) as usize] * w;
-        }
-    }
-}
-
-/// Runs the unconditional prefix (positions `0..stop1`, where no PAU probe
-/// can fire — [`unconditional_prefix_len`]) for [`BATCH`] interior windows
-/// at once in the pinned lane order: each window's lane-blocked region
-/// `0..m8` goes through the SIMD lane kernel, the remainder `m8..stop1`
-/// through the eight-chain batched span.
-#[inline]
-fn prefix_batch(
-    kernel: &KernelExec,
-    resolved: &[i32],
-    item: &[f32],
-    bases: &[i32; BATCH],
-    bias: f32,
-    m8: usize,
-    stop1: usize,
-) -> [f32; BATCH] {
-    let mut acc = [bias; BATCH];
-    if m8 > 0 {
-        for (a, &b) in acc.iter_mut().zip(bases.iter()) {
-            *a = bias
-                + snapea_tensor::lane::lane_dot_resolved(kernel.packed(), resolved, b, item, m8);
-        }
-    }
-    batch_span(
-        kernel.reordered.weights(),
-        resolved,
-        item,
-        bases,
-        &mut acc,
-        m8,
-        stop1,
-    );
-    acc
-}
-
-/// Full dot products of [`BATCH`] interior windows (stats accounting), in
-/// the same pinned order as [`prefix_batch`] continued to the window end.
-#[inline]
-fn full_values_batch(
-    kernel: &KernelExec,
-    resolved: &[i32],
-    item: &[f32],
-    bases: &[i32; BATCH],
-    bias: f32,
-    m8: usize,
-) -> [f32; BATCH] {
+    use snapea_tensor::lane::{self, LANES};
     let weights = kernel.reordered.weights();
-    let mut acc = [bias; BATCH];
+    let order = kernel.reordered.order();
+    let pau = &kernel.pau;
+    let len = weights.len();
+    let stop1 = unconditional_prefix_len(pau, len);
+    let m8 = lane::lane_prefix_len(stop1);
+    let acc = &mut bufs.acc[..width];
     if m8 > 0 {
-        for (a, &b) in acc.iter_mut().zip(bases.iter()) {
-            *a = bias
-                + snapea_tensor::lane::lane_dot_resolved(kernel.packed(), resolved, b, item, m8);
-        }
+        let planes = &mut bufs.planes[..LANES * width];
+        planes.fill(0.0);
+        lane::lane_broadcast(planes, LANES, x, ld, &order[..m8], &weights[..m8]);
+        lane::lane_collapse8(acc, planes, bias);
+    } else {
+        acc.fill(bias);
     }
-    batch_span(weights, resolved, item, bases, &mut acc, m8, weights.len());
-    acc
+    lane::lane_broadcast(acc, 1, x, ld, &order[m8..stop1], &weights[m8..stop1]);
+    if collect_stats {
+        let full = &mut bufs.full[..width];
+        full.copy_from_slice(acc);
+        lane::lane_broadcast(full, 1, x, ld, &order[stop1..], &weights[stop1..]);
+    }
+
+    // A window is live while its probed-region MAC count keeps up with
+    // the positions walked; the lanes past `real` start out behind.
+    let macs = &mut bufs.macs[..width];
+    macs[..real].fill(0);
+    macs[real..].fill(u32::MAX);
+    let predicted = &mut bufs.predicted[..width];
+    predicted.fill(0);
+    let spec = spec_probe_pos(pau);
+    let ns = pau.neg_start();
+    let mut p = stop1;
+    let mut live = real;
+    while p < len && live > 0 {
+        let walked = snapea_tensor::num::ops_u32(p - stop1);
+        let floor = if p >= ns { 0.0 } else { f32::NEG_INFINITY };
+        if p == spec {
+            // The one predictive probe; it also covers the
+            // spec_len == neg_start tie, where a prediction outranks the
+            // sign check.
+            let row = &x[order[p] as usize * ld..][..width];
+            let th = pau.threshold();
+            live = lane::lane_predict(acc, macs, predicted, row, weights[p], walked, th, floor);
+            p += 1;
+            continue;
+        }
+        // Positions p..end share one sign-check floor.
+        let end = [spec, ns, len]
+            .into_iter()
+            .filter(|&e| e > p)
+            .min()
+            .unwrap_or(len);
+        let (n, l) = lane::lane_masked_walk(
+            acc,
+            macs,
+            x,
+            ld,
+            &order[p..end],
+            &weights[p..end],
+            walked,
+            floor,
+        );
+        p += n;
+        live = l;
+    }
 }
 
 /// Folds one window's outcome into the prediction-quality accounting. Must
@@ -1043,54 +1026,149 @@ fn account_window(st: &mut PredictionStats, full: f32, termination: Option<Termi
 /// Executes a convolution layer through SnaPEA (no prediction accounting —
 /// the fast path used inside the optimizer's accuracy simulations).
 pub fn execute_conv(conv: &Conv2d, input: &Tensor4, cfg: &LayerConfig) -> ExecResult {
-    execute_conv_inner(conv, input, cfg, false)
+    execute_conv_inner(conv, input, cfg, false, LOWERED_CAP)
 }
 
 /// Like [`execute_conv`] but additionally completes every window's dot
 /// product to fill [`PredictionStats`] (paper Table V).
 pub fn execute_conv_stats(conv: &Conv2d, input: &Tensor4, cfg: &LayerConfig) -> ExecResult {
-    execute_conv_inner(conv, input, cfg, true)
+    execute_conv_inner(conv, input, cfg, true, LOWERED_CAP)
 }
 
-/// Drains `lanes` pending interior windows one at a time (used for the
-/// partial batch at a flush boundary). Lane order is ascending-window, so
-/// stats accounting order is preserved.
-#[allow(clippy::too_many_arguments)]
-// lint:allow(P2) lane window ids are < windows = out/ops slice length by construction
-fn drain_interior_lanes(
-    kexec: &KernelExec,
-    resolved: &[i32],
-    item: &[f32],
-    bias: f32,
-    lanes: &[(usize, i32)],
-    collect_stats: bool,
-    out_slice: &mut [f32],
-    ops_slice: &mut [u32],
-    st: &mut PredictionStats,
+/// The walk of one kernel over one group of images lowered side by side:
+/// per window (image-major, window order within an image) its output and
+/// op count, per image the pair's prediction stats (all-zero unless
+/// collected), and how many windows each walk took.
+struct UnitWalk {
+    out: Vec<f32>,
+    ops: Vec<u32>,
+    stats: Vec<PredictionStats>,
+    counts: LaneCounts,
+}
+
+/// Lowers `images` of `input` side by side into `slab`, tap-major: row `i`
+/// holds tap `i` of every window of the first image, then of the second,
+/// and so on (`cols = images.len() × windows` per row). `slab` arrives
+/// zeroed, as [`snapea_tensor::im2col::im2col_into`] requires.
+// lint:allow(P2) each image's block i*windows..(i+1)*windows lies inside a row of cols = images × windows
+fn lower_images(
+    input: &Tensor4,
+    images: std::ops::Range<usize>,
+    geom: ConvGeom,
+    windows: usize,
+    slab: &mut [f32],
 ) {
-    for &(w, base) in lanes {
-        let r = run_window_resolved(kexec, resolved, base, item, bias);
-        out_slice[w] = r.output;
-        ops_slice[w] = r.ops;
-        if collect_stats {
-            let full = full_window_value_resolved(kexec, resolved, base, item, bias);
-            account_window(st, full, r.termination);
+    if images.len() == 1 {
+        snapea_tensor::im2col::im2col_into(input, images.start, geom, slab);
+        return;
+    }
+    let cols = images.len() * windows;
+    let rows = slab.len() / cols;
+    snapea_tensor::scratch::with_zeroed(rows * windows, |one| {
+        for (i, n) in images.enumerate() {
+            one.fill(0.0);
+            snapea_tensor::im2col::im2col_into(input, n, geom, one);
+            for (r, src) in one.chunks_exact(windows).enumerate() {
+                slab[r * cols + i * windows..][..windows].copy_from_slice(src);
+            }
+        }
+    });
+}
+
+/// Walks every window of `images` for one kernel. `slab` is their
+/// side-by-side lowering ([`lower_images`]) plus
+/// [`snapea_tensor::lane::LANES`] floats of slack for the last tile's
+/// discarded lanes.
+// lint:allow(P2) out/ops hold cols = images × windows entries and stats one per image; lane j < real <= TILE = tile buffer length
+#[allow(clippy::too_many_arguments)]
+fn walk_unit(
+    kernel: &KernelExec,
+    bias: f32,
+    slab: &[f32],
+    gather: &GatherTable,
+    input: &Tensor4,
+    images: std::ops::Range<usize>,
+    bufs: &mut TileBufs,
+    collect_stats: bool,
+) -> UnitWalk {
+    let windows = gather.windows();
+    let cols = images.len() * windows;
+    let mut unit = UnitWalk {
+        out: vec![0.0; cols],
+        ops: vec![0; cols],
+        stats: vec![PredictionStats::default(); images.len()],
+        counts: LaneCounts::default(),
+    };
+    if needs_window_walk(kernel, bias) {
+        for (i, n) in images.enumerate() {
+            let item = input.item(n);
+            for w in 0..windows {
+                let taps = gather.window(w);
+                let r = run_window(kernel, taps, item, bias);
+                unit.out[i * windows + w] = r.output;
+                unit.ops[i * windows + w] = r.ops;
+                if collect_stats {
+                    let full = full_window_value(kernel, taps, item, bias);
+                    account_window(&mut unit.stats[i], full, r.termination);
+                }
+            }
+        }
+        unit.counts.scalar = cols as u64;
+        return unit;
+    }
+    let len = kernel.reordered.len();
+    let stop1 = unconditional_prefix_len(&kernel.pau, len);
+    for col0 in (0..cols).step_by(TILE) {
+        let real = TILE.min(cols - col0);
+        let width = snapea_tensor::lane::packed_len(real);
+        walk_tile(
+            kernel,
+            bias,
+            &slab[col0..],
+            cols,
+            width,
+            real,
+            bufs,
+            collect_stats,
+        );
+        for j in 0..real {
+            let walked = stop1 + bufs.macs[j] as usize;
+            unit.out[col0 + j] = bufs.acc[j];
+            unit.ops[col0 + j] = snapea_tensor::num::ops_u32(walked);
+            if collect_stats {
+                let kind = if bufs.predicted[j] != 0 {
+                    Some(TerminationKind::Predicted)
+                } else if walked < len {
+                    Some(TerminationKind::SignCheck)
+                } else {
+                    None
+                };
+                // Lanes run image-major, windows ascending within an
+                // image: each pair's stats fold in window order.
+                account_window(&mut unit.stats[(col0 + j) / windows], bufs.full[j], kind);
+            }
         }
     }
+    unit.counts.lane = cols as u64;
+    unit
 }
 
-// lint:allow(P2) w < windows = chunk length; lane fills bounded by BATCH; taps validated by the plan
+/// The layer walk behind [`execute_conv`] / [`execute_conv_stats`];
+/// `lowered_cap` bounds the floats of lowered input held at once
+/// ([`LOWERED_CAP`], smaller in tests to force several waves).
+// lint:allow(P2) unit/image indices stay below groups × c_out and n by construction; output offsets are pair × windows within the tensor
 fn execute_conv_inner(
     conv: &Conv2d,
     input: &Tensor4,
     cfg: &LayerConfig,
     collect_stats: bool,
+    lowered_cap: usize,
 ) -> ExecResult {
     assert_eq!(cfg.kernels.len(), conv.c_out(), "config kernel count");
     // Per-layer span (only when a sink is attached) plus an always-on
     // stopwatch feeding the `exec/layer_ms` latency histogram: one clock
     // read per layer call, never per window, so the disabled-path budget
-    // holds. Per-(image, kernel) spans are a further opt-in behind
+    // holds. Per-kernel spans are a further opt-in behind
     // `SNAPEA_TRACE_DETAIL` — a full repro run executes thousands of
     // layers and would swamp the log otherwise.
     let _layer_span = snapea_obs::hot_span!("exec/layer");
@@ -1103,162 +1181,103 @@ fn execute_conv_inner(
     let windows = plan.windows();
     debug_assert_eq!(windows, out_shape.plane_len());
 
-    // Resolved taps (walk-order tap deltas) once per kernel, shared by every
-    // image's tasks.
-    let resolved: Vec<Vec<i32>> = cfg
-        .kernels
-        .iter()
-        .map(|k| plan.resolve(&k.reordered))
-        .collect();
-
+    let c_out = conv.c_out();
     let mut output = Tensor4::zeros(out_shape);
-    let mut ops = vec![0u32; s.n * conv.c_out() * windows];
-    let mut stats = PredictionStats::default();
+    let mut ops = vec![0u32; s.n * c_out * windows];
+    let mut pair_stats = vec![PredictionStats::default(); s.n * c_out];
     let mut lane_counts = LaneCounts::default();
 
-    // One task per *block* of consecutive (image, kernel) pairs. Flat pair
-    // index `n * c_out + k` addresses both the output plane
-    // (`offset(n, k, 0, 0)` = pair * windows) and the ops layout, so zipping
-    // the two block-sized chunk iterators hands every task its disjoint
-    // output/ops slices; within a block the pairs are walked ascending. The
-    // block size comes from `chunk_for` with the walk floor: an n=1 serving
-    // layer with 32 kernels still splits into per-kernel-block tasks, while
-    // a tiny layer collapses to one inline task and never pays dispatch.
-    // Each pair's stats still accumulate privately (one `PredictionStats`
-    // per pair, exactly as the serial walk folds them) and merge in
-    // ascending pair order — the same grouping for any thread count and any
-    // block size, so the f64 masses are bit-identical whether the pairs ran
-    // on one worker or eight.
-    //
-    // Within a pair, interior windows are gathered into [`BATCH`]-wide
-    // groups walked through the resolved-tap batch kernels; border windows
-    // take the general gather path. Any pending batch is drained before a
-    // border window (and at the end), so per-window results and the
-    // order-sensitive stats folds still happen in ascending window order.
-    if windows > 0 {
-        let pair_cost = windows * conv.window_len();
-        let chunk = snapea_tensor::par::chunk_for(
-            s.n * conv.c_out(),
-            pair_cost,
-            snapea_tensor::par::WALK_TASK_FLOOR_OPS,
-        );
-        let blocks: Vec<(&mut [f32], &mut [u32])> = output
-            .as_mut_slice()
-            .chunks_mut(chunk * windows)
-            .zip(ops.chunks_mut(chunk * windows))
-            .collect();
-        let per_block: Vec<Vec<(PredictionStats, LaneCounts)>> =
-            snapea_tensor::par::run_tasks(blocks, |bi, (out_blk, ops_blk)| {
-                out_blk
-                    .chunks_mut(windows)
-                    .zip(ops_blk.chunks_mut(windows))
-                    .enumerate()
-                    .map(|(pi, (out_slice, ops_slice))| {
-                        let pair = bi * chunk + pi;
-                        let (n, k) = (pair / conv.c_out(), pair % conv.c_out());
-                        let _kernel_span = if trace_kernels {
-                            Some(snapea_obs::span::enter_detail(
-                                "exec/kernel",
-                                Some(format!("image {n} kernel {k}")),
-                            ))
-                        } else {
-                            None
-                        };
-                        let item = input.item(n);
-                        let kexec = &cfg.kernels[k];
-                        let rt = &resolved[k][..];
-                        let weights = kexec.reordered.weights();
-                        let len = weights.len();
-                        let stop1 = unconditional_prefix_len(&kexec.pau, len);
-                        let m8 = snapea_tensor::lane::lane_prefix_len(stop1);
-                        let bias = conv.bias()[k];
-                        let mut st = PredictionStats::default();
-                        let mut lc = LaneCounts::default();
-                        let mut lanes = [(0usize, 0i32); BATCH];
-                        let mut nl = 0usize;
-                        for w in 0..windows {
-                            let base = plan.window_base(w);
-                            if base >= 0 {
-                                lanes[nl] = (w, base);
-                                nl += 1;
-                                if nl < BATCH {
-                                    continue;
-                                }
-                                nl = 0;
-                                lc.lane += BATCH as u64;
-                                let bases = lanes.map(|(_, b)| b);
-                                let accs = prefix_batch(kexec, rt, item, &bases, bias, m8, stop1);
-                                // Each lane's full value accumulates in the same
-                                // per-lane order as the scalar walk; only the folds
-                                // below are order-sensitive, and they run ascending.
-                                let fulls = if collect_stats {
-                                    Some(full_values_batch(kexec, rt, item, &bases, bias, m8))
-                                } else {
-                                    None
-                                };
-                                for (l, &(lw, lb)) in lanes.iter().enumerate() {
-                                    let r = walk_window_from(
-                                        &kexec.pau,
-                                        len,
-                                        accs[l],
-                                        stop1,
-                                        |p, acc| acc + item[(lb + rt[p]) as usize] * weights[p],
-                                    );
-                                    out_slice[lw] = r.output;
-                                    ops_slice[lw] = r.ops;
-                                    if let Some(f) = &fulls {
-                                        account_window(&mut st, f[l], r.termination);
-                                    }
-                                }
-                            } else {
-                                lc.scalar += nl as u64 + 1;
-                                drain_interior_lanes(
-                                    kexec,
-                                    rt,
-                                    item,
-                                    bias,
-                                    &lanes[..nl],
+    // Images are walked in groups lowered side by side, enough of them
+    // that one group fills a tile (late layers have only a few windows per
+    // image). Each image is lowered once per layer call: groups are lowered
+    // in waves (one task per group) into one buffer from the caller's
+    // scratch arena, capped so a large batch does not lower every image at
+    // once. The work unit is then one kernel over one group, `u = group ×
+    // c_out + k`; tasks take blocks of consecutive units, sized by the walk
+    // floor so an n=1 layer with 32 kernels still fans out while a tiny
+    // layer runs inline. Every window's result is a pure function of its
+    // own taps, and each (image, kernel) pair's stats fold in window order
+    // and merge in ascending pair order below — the same for any grouping,
+    // wave, block size or thread count, so results and the f64 masses are
+    // bit-identical whether the units ran on one worker or eight.
+    if windows > 0 && s.n > 0 {
+        let window_len = conv.window_len();
+        let group = TILE.div_ceil(windows).min(s.n);
+        let n_groups = s.n.div_ceil(group);
+        let images_of = |g: usize| g * group..((g + 1) * group).min(s.n);
+        let wave = (lowered_cap / (window_len * group * windows).max(1)).clamp(1, n_groups);
+        let group_len = window_len * group * windows;
+        for first in (0..n_groups).step_by(wave) {
+            let groups = (first + wave).min(n_groups) - first;
+            let wave_images = ((first + groups) * group).min(s.n) - first * group;
+            let total = window_len * wave_images * windows;
+            // Slack past the last group for the last tile's discarded lanes
+            // (earlier groups read into the next group's rows instead).
+            snapea_tensor::scratch::with_zeroed(total + snapea_tensor::lane::LANES, |buf| {
+                let parts: Vec<&mut [f32]> = buf[..total].chunks_mut(group_len.max(1)).collect();
+                snapea_tensor::par::run_tasks(parts, |i, part| {
+                    lower_images(input, images_of(first + i), geom, windows, part);
+                });
+                let buf = &*buf;
+                let units = groups * c_out;
+                let chunk = snapea_tensor::par::chunk_for(
+                    units,
+                    group * windows * window_len,
+                    snapea_tensor::par::WALK_TASK_FLOOR_OPS,
+                );
+                let tasks: Vec<std::ops::Range<usize>> = (0..units)
+                    .step_by(chunk)
+                    .map(|u| u..(u + chunk).min(units))
+                    .collect();
+                let per_task: Vec<Vec<UnitWalk>> =
+                    snapea_tensor::par::run_tasks(tasks, |_, range| {
+                        let mut bufs = TileBufs::new();
+                        range
+                            .map(|u| {
+                                let (i, k) = (u / c_out, u % c_out);
+                                let images = images_of(first + i);
+                                let _kernel_span = trace_kernels.then(|| {
+                                    snapea_obs::span::enter_detail(
+                                        "exec/kernel",
+                                        Some(format!("images {images:?} kernel {k}")),
+                                    )
+                                });
+                                walk_unit(
+                                    &cfg.kernels[k],
+                                    conv.bias()[k],
+                                    &buf[i * group_len..],
+                                    plan.gather(),
+                                    input,
+                                    images,
+                                    &mut bufs,
                                     collect_stats,
-                                    out_slice,
-                                    ops_slice,
-                                    &mut st,
-                                );
-                                nl = 0;
-                                let taps = plan.gather().window(w);
-                                let r = run_window(kexec, taps, item, bias);
-                                out_slice[w] = r.output;
-                                ops_slice[w] = r.ops;
-                                if collect_stats {
-                                    let full = full_window_value(kexec, taps, item, bias);
-                                    account_window(&mut st, full, r.termination);
-                                }
-                            }
-                        }
-                        lc.scalar += nl as u64;
-                        drain_interior_lanes(
-                            kexec,
-                            rt,
-                            item,
-                            bias,
-                            &lanes[..nl],
-                            collect_stats,
-                            out_slice,
-                            ops_slice,
-                            &mut st,
-                        );
-                        (st, lc)
-                    })
-                    .collect()
+                                )
+                            })
+                            .collect()
+                    });
+                let out = output.as_mut_slice();
+                for (u, walk) in per_task.into_iter().flatten().enumerate() {
+                    let k = u % c_out;
+                    for (i, n) in images_of(first + u / c_out).enumerate() {
+                        let pair = n * c_out + k;
+                        let src = i * windows..(i + 1) * windows;
+                        out[pair * windows..][..windows].copy_from_slice(&walk.out[src.clone()]);
+                        ops[pair * windows..][..windows].copy_from_slice(&walk.ops[src]);
+                        pair_stats[pair] = walk.stats[i];
+                    }
+                    lane_counts.merge(&walk.counts);
+                }
             });
-        for (st, lc) in per_block.iter().flatten() {
-            stats.merge(st);
-            lane_counts.merge(lc);
         }
+    }
+    let mut stats = PredictionStats::default();
+    for st in &pair_stats {
+        stats.merge(st);
     }
 
     let profile = LayerProfile {
         images: s.n,
-        kernels: conv.c_out(),
+        kernels: c_out,
         windows,
         window_len: conv.window_len(),
         ops,
@@ -1445,7 +1464,7 @@ fn q16_bias_acc(bias: f32, fmt: snapea_tensor::q16::Q16Format) -> snapea_tensor:
 
 /// Continues a fixed-point window walk from position `start` (which must
 /// be the walk's unconditional-prefix length) with partial sum `acc` — the
-/// q16 twin of [`walk_window_from`]. Integer accumulation is exact, so any
+/// q16 twin of [`run_window`]'s probed phases. Integer accumulation is exact, so any
 /// batching of the prefix that hands the same raw sum in here is
 /// bit-identical to the sequential walk.
 #[inline(always)]
@@ -1487,7 +1506,7 @@ fn walk_window_q16_from(
     }
 }
 
-/// Phase-split fixed-point window walk (the q16 twin of [`walk_window`]):
+/// Phase-split fixed-point window walk (the q16 twin of [`run_window`]):
 /// probes only where [`Pau::probe`] can fire, dequantising the partial sum
 /// per probe instead of per MAC. `mac(p, acc)` performs the MAC at position
 /// `p` in place.
@@ -1519,6 +1538,7 @@ pub fn execute_conv_q16(
     cfg: &LayerConfig,
     fmt: snapea_tensor::q16::Q16Format,
 ) -> ExecResult {
+    use snapea_tensor::lane::LANES;
     assert_eq!(cfg.kernels.len(), conv.c_out(), "config kernel count");
     let _layer_span = snapea_obs::hot_span!("exec/layer");
     let layer_clock = snapea_obs::Stopwatch::start();
@@ -1565,7 +1585,7 @@ pub fn execute_conv_q16(
     // its pairs and windows in ascending order, so the quantised outputs
     // are bit-identical to the serial loop at any thread count.
     //
-    // Interior windows are gathered into [`BATCH`]-wide groups whose
+    // Interior windows are gathered into eight-wide ([`LANES`]) groups whose
     // unconditional prefixes run through the integer lane kernel
     // ([`snapea_tensor::lane::lane_q16_span`]); i64 accumulation is exact,
     // so the batched prefix hands each window the same raw sum as its
@@ -1599,20 +1619,20 @@ pub fn execute_conv_q16(
                     let wq = &weights_q[k][..];
                     let item_q = &items_q[n][..];
                     let bias_raw = q16_bias_acc(bias, fmt).raw();
-                    let mut lanes = [(0usize, 0i32); BATCH];
+                    let mut lanes = [(0usize, 0i32); LANES];
                     let mut nl = 0usize;
                     for w in 0..windows {
                         let base = plan.window_base(w);
                         if base >= 0 {
                             lanes[nl] = (w, base);
                             nl += 1;
-                            if nl < BATCH {
+                            if nl < LANES {
                                 continue;
                             }
                             nl = 0;
-                            lc.lane += BATCH as u64;
+                            lc.lane += LANES as u64;
                             let bases = lanes.map(|(_, b)| b);
-                            let mut accs = [bias_raw; BATCH];
+                            let mut accs = [bias_raw; LANES];
                             snapea_tensor::lane::lane_q16_span(
                                 &mut accs, wq, rt, &bases, item_q, 0, stop1,
                             );
@@ -2269,7 +2289,7 @@ mod tests {
                 LayerConfig::predictive_uniform(&conv, KernelParams::new(f32::INFINITY, 2)),
             ] {
                 for collect_stats in [false, true] {
-                    let new = execute_conv_inner(&conv, &input, &cfg, collect_stats);
+                    let new = execute_conv_inner(&conv, &input, &cfg, collect_stats, LOWERED_CAP);
                     let old = baseline::execute_conv(&conv, &input, &cfg, collect_stats);
                     assert_eq!(new.output.as_slice(), old.output.as_slice(), "seed {seed}");
                     assert_eq!(new.profile.ops, old.profile.ops, "seed {seed}");
@@ -2309,25 +2329,278 @@ mod tests {
         }
     }
 
-    #[test]
-    fn run_window_resolved_matches_generic_on_interior_windows() {
-        let mut rng = init::rng(70);
-        let conv = Conv2d::new(2, 3, ConvGeom::square(3, 1, 1), &mut rng);
-        let input = nonneg_input(Shape4::new(1, 2, 7, 7), 71);
-        let plan = WindowPlan::build(input.shape(), conv.geom(), conv.c_in());
-        let cfg = LayerConfig::predictive_uniform(&conv, KernelParams::new(0.1, 4));
-        let item = input.item(0);
-        for (k, kexec) in cfg.kernels().iter().enumerate() {
-            let rt = plan.resolve(&kexec.reordered);
-            let bias = conv.bias()[k];
-            for w in 0..plan.windows() {
-                let base = plan.window_base(w);
-                if base < 0 {
-                    continue;
+    /// The per-window reference semantics of a layer call: [`run_window`]
+    /// and [`full_window_value`] over the gather table, pairs ascending,
+    /// each pair's stats folded in window order and merged ascending.
+    fn per_window_reference(
+        conv: &Conv2d,
+        input: &Tensor4,
+        cfg: &LayerConfig,
+    ) -> (Vec<u32>, Vec<u32>, PredictionStats) {
+        let gather = GatherTable::build(input.shape(), conv.geom(), conv.c_in());
+        let (mut bits, mut ops) = (Vec::new(), Vec::new());
+        let mut stats = PredictionStats::default();
+        for n in 0..input.shape().n {
+            let item = input.item(n);
+            for (k, kexec) in cfg.kernels().iter().enumerate() {
+                let bias = conv.bias()[k];
+                let mut st = PredictionStats::default();
+                for w in 0..gather.windows() {
+                    let taps = gather.window(w);
+                    let r = run_window(kexec, taps, item, bias);
+                    bits.push(r.output.to_bits());
+                    ops.push(r.ops);
+                    let full = full_window_value(kexec, taps, item, bias);
+                    account_window(&mut st, full, r.termination);
                 }
-                let generic = run_window(kexec, plan.gather().window(w), item, bias);
-                let resolved = run_window_resolved(kexec, &rt, base, item, bias);
-                assert_eq!(generic, resolved, "kernel {k} window {w}");
+                stats.merge(&st);
+            }
+        }
+        (bits, ops, stats)
+    }
+
+    /// Every `PredictionStats` field, with the f64 masses as bit patterns.
+    fn stats_bits(s: &PredictionStats) -> [u64; 7] {
+        [
+            s.negative_windows,
+            s.positive_windows,
+            s.true_negatives,
+            s.false_negatives,
+            s.sign_terminations,
+            s.positive_mass.to_bits(),
+            s.squashed_mass.to_bits(),
+        ]
+    }
+
+    /// Pins `execute_conv` and `execute_conv_stats` to the per-window
+    /// reference — output bits, op counts and every stats field — at 1 and
+    /// 4 pool threads and with one image group per lowering wave.
+    fn check_against_per_window(
+        conv: &Conv2d,
+        input: &Tensor4,
+        cfg: &LayerConfig,
+        what: &str,
+    ) -> Result<(), String> {
+        let (bits, ops, stats) = per_window_reference(conv, input, cfg);
+        let (par, over) = (
+            snapea_tensor::par::threads(),
+            snapea_tensor::par::oversubscribe_enabled(),
+        );
+        snapea_tensor::par::set_oversubscribe(true);
+        let mut verdict = Ok(());
+        // The tiny lowering cap walks one image group per wave.
+        for (threads, cap) in [(1, LOWERED_CAP), (4, LOWERED_CAP), (4, 1)] {
+            snapea_tensor::par::set_threads(threads);
+            for collect_stats in [false, true] {
+                let r = execute_conv_inner(conv, input, cfg, collect_stats, cap);
+                let got: Vec<u32> = r.output.iter().map(|v| v.to_bits()).collect();
+                let want = if collect_stats {
+                    stats_bits(&stats)
+                } else {
+                    [0; 7]
+                };
+                let case = format!("{what}, {threads} thread(s), cap {cap}, stats {collect_stats}");
+                if let Some(i) =
+                    (0..bits.len()).find(|&i| got[i] != bits[i] || r.profile.ops[i] != ops[i])
+                {
+                    verdict = Err(format!(
+                        "{case}: window {i}: output {:?} ops {} vs per-window {:?} ops {}",
+                        f32::from_bits(got[i]),
+                        r.profile.ops[i],
+                        f32::from_bits(bits[i]),
+                        ops[i]
+                    ));
+                } else if stats_bits(&r.stats) != want {
+                    verdict = Err(format!(
+                        "{case}: stats {:?} vs per-window {:?}",
+                        r.stats, stats
+                    ));
+                }
+            }
+        }
+        snapea_tensor::par::set_threads(par);
+        snapea_tensor::par::set_oversubscribe(over);
+        verdict
+    }
+
+    /// `(n, c_in, c_out, h, w)` of a test layer.
+    type Dims = (usize, usize, usize, usize, usize);
+
+    /// A seeded layer: `weights` 0 random, 1 all negative, 2 all positive;
+    /// `inputs` 0 non-negative, 1 signed, 2 half exact zeros.
+    fn corner_layer(
+        seed: u64,
+        (n, c_in, c_out, h, w): Dims,
+        geom: ConvGeom,
+        weights: u8,
+        inputs: u8,
+    ) -> (Conv2d, Tensor4) {
+        let mut rng = init::rng(seed);
+        let mut conv = Conv2d::new(c_in, c_out, geom, &mut rng);
+        match weights {
+            1 => conv.weight_mut().map_inplace(|v| -v.abs() - 1e-3),
+            2 => conv.weight_mut().map_inplace(|v| v.abs() + 1e-3),
+            _ => {}
+        }
+        let x = init::uniform4(Shape4::new(n, c_in, h, w), 1.0, &mut rng);
+        let x = match inputs {
+            0 => x.map(f32::abs),
+            1 => x,
+            _ => x.map(|v| if v > 0.0 { v } else { 0.0 }),
+        };
+        (conv, x)
+    }
+
+    /// The configurations a corner layer is walked under: exact, and
+    /// predictive at a random, a `+inf` (predict every window) and a
+    /// `-inf` (never predict) threshold.
+    fn corner_configs(conv: &Conv2d, seed: u64) -> Vec<(String, LayerConfig)> {
+        let len = conv.window_len();
+        let groups = 1 + seed as usize % len.max(1);
+        let th = ((seed % 13) as f32 - 6.0) * 0.05;
+        let mut out = vec![("exact".to_string(), LayerConfig::exact(conv))];
+        if len > 0 {
+            for t in [th, f32::INFINITY, f32::NEG_INFINITY] {
+                out.push((
+                    format!("predictive th {t} groups {groups}"),
+                    LayerConfig::predictive_uniform(conv, KernelParams::new(t, groups)),
+                ));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn broadcast_walk_matches_per_window_walk_on_corner_layers() {
+        let sq = ConvGeom::square;
+        let cases: [(&str, Dims, ConvGeom, u8, u8); 10] = [
+            (
+                "3x3 pad 1, 169 windows",
+                (3, 3, 5, 13, 13),
+                sq(3, 1, 1),
+                0,
+                0,
+            ),
+            ("stride 2 pad 1", (1, 2, 4, 9, 9), sq(3, 2, 1), 0, 1),
+            ("1x1", (3, 4, 3, 6, 5), sq(1, 1, 0), 0, 2),
+            ("k == input", (3, 2, 4, 3, 3), sq(3, 1, 0), 0, 0),
+            ("all-negative kernels", (1, 3, 4, 7, 7), sq(3, 1, 1), 1, 0),
+            ("all-positive kernels", (3, 2, 3, 6, 6), sq(3, 1, 1), 2, 1),
+            ("wide padding", (1, 2, 3, 5, 6), sq(5, 1, 2), 0, 2),
+            (
+                "144 windows, signed input",
+                (1, 8, 2, 12, 12),
+                sq(3, 1, 1),
+                0,
+                1,
+            ),
+            ("one pixel", (3, 1, 2, 1, 1), sq(3, 1, 1), 0, 0),
+            (
+                "two image groups of 64 windows",
+                (3, 2, 3, 8, 8),
+                sq(3, 1, 1),
+                0,
+                1,
+            ),
+        ];
+        for (i, (what, dims, geom, weights, inputs)) in cases.into_iter().enumerate() {
+            let (conv, input) = corner_layer(80 + i as u64, dims, geom, weights, inputs);
+            for (mode, cfg) in corner_configs(&conv, i as u64 * 7 + 3) {
+                if let Err(e) =
+                    check_against_per_window(&conv, &input, &cfg, &format!("{what}, {mode}"))
+                {
+                    panic!("{e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn all_negative_predictive_kernels_hit_the_spec_len_neg_start_tie() {
+        let (conv, input) = corner_layer(90, (3, 2, 3, 6, 6), ConvGeom::square(3, 1, 1), 1, 1);
+        let cfg = LayerConfig::predictive_uniform(&conv, KernelParams::new(-0.2, 3));
+        for k in cfg.kernels() {
+            assert_eq!(k.pau.spec_len(), k.pau.neg_start(), "tie layout");
+        }
+        check_against_per_window(&conv, &input, &cfg, "spec_len == neg_start").unwrap();
+    }
+
+    #[test]
+    fn stats_merge_in_pair_order_across_an_image_group() {
+        // Two 5×5 images (25 windows each) share one image group, walked
+        // kernel by kernel. Scaling the second by 1e9 makes the f64 mass
+        // sums depend on the order the pairs merge in: the first image's
+        // small masses only sum exactly when they meet before the large
+        // ones.
+        let (conv, input) = corner_layer(91, (2, 2, 4, 5, 5), ConvGeom::square(3, 1, 1), 0, 0);
+        let scale = [1.0f32, 1e9];
+        let input = Tensor4::from_fn(input.shape(), |n, c, h, w| input[(n, c, h, w)] * scale[n]);
+        for (mode, cfg) in corner_configs(&conv, 5) {
+            check_against_per_window(&conv, &input, &cfg, &format!("scaled images, {mode}"))
+                .unwrap();
+        }
+    }
+
+    #[test]
+    fn negative_zero_bias_keeps_its_sign_through_padding_taps() {
+        // One 1×1 image of -0.0 under a 3×3 pad-1 kernel: one window whose
+        // centre tap is the pixel and whose eight other taps are padding.
+        // Five positive weights put neg_start at 5, so the lane region is
+        // empty and the walk starts sequentially from the -0.0 bias. The
+        // per-window walk skips padding taps and adds only -0.0 products,
+        // so the output stays -0.0; adding a padding tap's +0.0 * w would
+        // turn it into +0.0.
+        let weight = Tensor4::from_vec(
+            Shape4::new(1, 1, 3, 3),
+            vec![0.5, 0.5, 0.5, 0.5, 0.5, -0.5, -0.5, -0.5, -0.5],
+        )
+        .unwrap();
+        let conv = Conv2d::from_parts(weight, vec![-0.0], ConvGeom::square(3, 1, 1));
+        let input = Tensor4::from_vec(Shape4::new(1, 1, 1, 1), vec![-0.0]).unwrap();
+        let cfg = LayerConfig::exact(&conv);
+        let r = execute_conv(&conv, &input, &cfg);
+        assert_eq!(r.output.as_slice()[0].to_bits(), (-0.0f32).to_bits());
+        assert_eq!(r.profile.op(0, 0, 0), 9);
+        check_against_per_window(&conv, &input, &cfg, "-0.0 bias").unwrap();
+    }
+
+    #[test]
+    fn non_finite_weight_on_a_padding_tap_matches_the_per_window_walk() {
+        // An infinite weight over a padding tap: the per-window walk skips
+        // the tap past the lane region, where +0.0 * inf would be NaN.
+        let mut w = vec![0.25f32; 9];
+        w[0] = f32::INFINITY;
+        w[8] = -0.5;
+        let weight = Tensor4::from_vec(Shape4::new(1, 1, 3, 3), w).unwrap();
+        let conv = Conv2d::from_parts(weight, vec![0.1], ConvGeom::square(3, 1, 1));
+        let input = Tensor4::full(Shape4::new(1, 1, 4, 4), 0.5);
+        check_against_per_window(&conv, &input, &LayerConfig::exact(&conv), "inf weight").unwrap();
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        #[test]
+        fn broadcast_walk_matches_per_window_walk(
+            seed in 0u64..1_000_000,
+            hw in (1usize..12, 1usize..12),
+            chans in (1usize..5, 1usize..6),
+            geom in (1usize..6, 1usize..3, 0usize..3),
+            three_images in 0u8..2,
+            kinds in (0u8..3, 0u8..3),
+        ) {
+            let (k, stride, pad) = geom;
+            let n = if three_images == 1 { 3 } else { 1 };
+            let (conv, input) = corner_layer(
+                seed,
+                (n, chans.0, chans.1, hw.0, hw.1),
+                ConvGeom::square(k, stride, pad),
+                kinds.0,
+                kinds.1,
+            );
+            for (mode, cfg) in corner_configs(&conv, seed) {
+                let case = format!("seed {seed} {hw:?} {chans:?} {geom:?} n {n} {kinds:?} {mode}");
+                let verdict = check_against_per_window(&conv, &input, &cfg, &case);
+                proptest::prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
             }
         }
     }

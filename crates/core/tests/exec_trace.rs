@@ -1,8 +1,8 @@
 //! The executor's trace wiring: every layer call opens an `exec/layer`
 //! span and emits an `exec/layer` event (with its wall time and plan-cache
 //! outcome), the `exec/layer_ms` latency histogram accumulates, and — only
-//! under the `SNAPEA_TRACE_DETAIL` opt-in — each `(image, kernel)` task
-//! additionally records an `exec/kernel` span.
+//! under the `SNAPEA_TRACE_DETAIL` opt-in — each kernel walk over an image
+//! group additionally records an `exec/kernel` span.
 //!
 //! This is one test function (not several) because the obs sink is a
 //! process-wide global and the crate's other integration suites run in
@@ -48,11 +48,13 @@ fn executor_emits_layer_spans_events_and_kernel_detail() {
             .count()
     };
     assert_eq!(spans_named("exec/layer"), 2, "one span per layer call");
-    // Detail spans only for the opted-in call: 2 images × 4 kernels.
+    // Detail spans only for the opted-in call. The two 7×7 images (49
+    // windows each) fit one 128-window tile, so they form one image group
+    // walked once per kernel: 1 group × 4 kernels.
     assert_eq!(
         spans_named("exec/kernel"),
-        8,
-        "one span per (image, kernel)"
+        4,
+        "one span per (image group, kernel)"
     );
 
     let layer_events: Vec<&Json> = events

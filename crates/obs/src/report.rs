@@ -46,10 +46,10 @@ pub struct ExecSummary {
     pub gather_cache_hits: u64,
     /// Layer runs that had to build their window plan.
     pub gather_cache_misses: u64,
-    /// Windows that ran through the eight-wide lane-blocked batch path
+    /// Windows walked by the executor's window-major broadcast path
     /// (`lane_windows` on the event; 0 on logs from older builds).
     pub lane_windows: u64,
-    /// Windows that ran through the scalar border/drain path.
+    /// Windows walked one at a time by the per-window fallback.
     pub scalar_windows: u64,
 }
 
@@ -63,7 +63,7 @@ impl ExecSummary {
         }
     }
 
-    /// Fraction of windows taking the lane-blocked path (0 when the log
+    /// Fraction of windows taking the broadcast path (0 when the log
     /// carries no lane counters).
     pub fn lane_fraction(&self) -> f64 {
         let total = self.lane_windows + self.scalar_windows;
@@ -355,7 +355,7 @@ impl Report {
             }
             if x.lane_windows + x.scalar_windows > 0 {
                 out.push_str(&format!(
-                    "  lane engine: {} windows lane-blocked, {} scalar ({:.1}% lane)\n",
+                    "  lane engine: {} windows broadcast, {} per-window ({:.1}% broadcast)\n",
                     x.lane_windows,
                     x.scalar_windows,
                     x.lane_fraction() * 100.0
@@ -456,7 +456,7 @@ mod tests {
         assert!(text.contains("optimizer"));
         assert!(text.contains("50.0% saved"));
         assert!(text.contains("window-plan cache: 1 hits, 1 misses"));
-        assert!(text.contains("lane engine: 40 windows lane-blocked, 8 scalar (83.3% lane)"));
+        assert!(text.contains("lane engine: 40 windows broadcast, 8 per-window (83.3% broadcast)"));
         assert!(text.contains("mean PE utilization 80.0%"));
 
         let j = r.to_json();

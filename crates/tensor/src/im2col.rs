@@ -2,10 +2,11 @@
 //!
 //! The forward/backward passes of [`snapea-nn`]'s convolution layer lower a
 //! convolution to a matrix product: weights `[c_out, c_in*kh*kw]` times the
-//! im2col patch matrix `[c_in*kh*kw, out_h*out_w]`. The SnaPEA executor in the
-//! `snapea` crate does *not* use this path — it walks windows weight-by-weight
-//! to model early termination — but both paths must agree numerically, which
-//! the integration tests assert.
+//! im2col patch matrix `[c_in*kh*kw, out_h*out_w]`. The SnaPEA executor in
+//! the `snapea` crate lowers each image with the same [`im2col_into`]: the
+//! matrix is tap-major, so row `i` holds tap `i` of every window as one
+//! contiguous vector, and the executor's window-major walk broadcasts each
+//! reordered weight over the row it selects (`snapea::exec`).
 
 use crate::{Shape2, Tensor2, Tensor4};
 

@@ -346,6 +346,196 @@ pub fn lane_q16_span(
     }
 }
 
+/// Broadcast MACs of a tap-major window tile (the executor's window-major
+/// walk): walk position `p` multiplies the contiguous row
+/// `x[order[p] * ld..][..width]` (one tap of every window in the tile) by
+/// the broadcast weight `weights[p]` and adds it into plane `p % planes`,
+/// where `width = dst.len() / planes`. With eight planes this is the pinned
+/// lane region of every window at once (window `j`'s lane `l` lives at
+/// `dst[l * width + j]`, fed in ascending `p`); with one plane it is the
+/// sequential remainder. Each product is `value * weight` added to the
+/// running sum, the same operands in the same order as [`lane_dot`] and
+/// the per-window walk.
+///
+/// # Panics
+///
+/// Panics if `planes` is zero or does not divide `dst.len()`, the width is
+/// not a multiple of [`LANES`], `order` and `weights` differ in length, or
+/// a row runs past the end of `x`.
+#[inline(never)]
+pub fn lane_broadcast(
+    dst: &mut [f32],
+    planes: usize,
+    x: &[f32],
+    ld: usize,
+    order: &[u32],
+    weights: &[f32],
+) {
+    assert!(
+        planes > 0 && dst.len().is_multiple_of(planes),
+        "lane_broadcast plane split"
+    );
+    let width = dst.len() / planes;
+    assert_eq!(width % LANES, 0, "lane_broadcast width");
+    assert_eq!(order.len(), weights.len(), "lane_broadcast order/weights");
+    for (ob, wb) in order.chunks(planes).zip(weights.chunks(planes)) {
+        for ((&o, &w), plane) in ob.iter().zip(wb).zip(dst.chunks_exact_mut(width)) {
+            let row = &x[o as usize * ld..][..width];
+            for (d8, r8) in plane.chunks_exact_mut(LANES).zip(row.chunks_exact(LANES)) {
+                for (d, &r) in d8.iter_mut().zip(r8) {
+                    *d += r * w;
+                }
+                lane_chunk_boundary();
+            }
+        }
+    }
+}
+
+/// Collapses eight lane planes (`planes[l * width + j]`, `width =
+/// acc.len()`) through the pinned [`tree8`] and adds each sum to `bias`:
+/// `acc[j] = bias + tree8(lanes of window j)`.
+///
+/// # Panics
+///
+/// Panics if `planes.len() != LANES * acc.len()` or the width is not a
+/// multiple of [`LANES`].
+#[inline(never)]
+pub fn lane_collapse8(acc: &mut [f32], planes: &[f32], bias: f32) {
+    let width = acc.len();
+    assert_eq!(planes.len(), LANES * width, "lane_collapse8 planes");
+    assert_eq!(width % LANES, 0, "lane_collapse8 width");
+    for (j, a8) in acc.chunks_exact_mut(LANES).enumerate() {
+        let l: [&[f32]; LANES] = std::array::from_fn(|l| &planes[l * width + j * LANES..][..LANES]);
+        for (i, a) in a8.iter_mut().enumerate() {
+            *a = bias + tree8(std::array::from_fn(|q| l[q][i]));
+        }
+        lane_chunk_boundary();
+    }
+}
+
+/// Masked broadcast sweep of a probed stretch of walk positions. `macs[j]`
+/// counts the MACs lane `j` has executed in the probed region, and a lane
+/// is live while that count equals the positions walked so far (`walked`
+/// at entry, plus one per position): a stopped lane falls behind and stays
+/// behind. At each position `i` (over `order`/`weights`) every live lane
+/// whose partial sum is below `floor` stops (the PAU's sign check; `floor =
+/// -inf` disables it), and every lane still live adds `x[order[i] * ld +
+/// j] * weights[i]` and counts the MAC. Stopped lanes ride along masked, as
+/// idle PE lanes do: their product is masked to `+0.0`, which leaves any
+/// partial sum other than `-0.0` bit-unchanged, so callers must not hand
+/// in `-0.0` sums. Returns `(positions walked, live lanes)`, early once no
+/// lane is live.
+///
+/// # Panics
+///
+/// Panics if `acc` and `macs` differ in length, the width is not a
+/// multiple of [`LANES`], `order` and `weights` differ in length, or a row
+/// runs past the end of `x`.
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+pub fn lane_masked_walk(
+    acc: &mut [f32],
+    macs: &mut [u32],
+    x: &[f32],
+    ld: usize,
+    order: &[u32],
+    weights: &[f32],
+    walked: u32,
+    floor: f32,
+) -> (usize, usize) {
+    let width = acc.len();
+    assert_eq!(macs.len(), width, "lane_masked_walk macs");
+    assert_eq!(width % LANES, 0, "lane_masked_walk width");
+    assert_eq!(order.len(), weights.len(), "lane_masked_walk order/weights");
+    let mut live = macs.iter().filter(|&&c| c == walked).count();
+    for (i, (&o, &w)) in order.iter().zip(weights).enumerate() {
+        let row = &x[o as usize * ld..][..width];
+        let cur = walked.wrapping_add(crate::num::ops_u32(i));
+        let mut count = [0u32; LANES];
+        for ((a8, c8), r8) in acc
+            .chunks_exact_mut(LANES)
+            .zip(macs.chunks_exact_mut(LANES))
+            .zip(row.chunks_exact(LANES))
+        {
+            for (((a, c), &r), n) in a8.iter_mut().zip(c8).zip(r8).zip(&mut count) {
+                let run = if *c != cur || *a < floor { 0 } else { u32::MAX };
+                *a += f32::from_bits((r * w).to_bits() & run);
+                *c = c.wrapping_sub(run);
+                *n = n.wrapping_sub(run);
+            }
+            lane_chunk_boundary();
+        }
+        live = count.iter().map(|&n| n as usize).sum();
+        if live == 0 {
+            return (i + 1, 0);
+        }
+    }
+    (order.len(), live)
+}
+
+/// The predictive probe of a [`lane_masked_walk`] tile at one walk
+/// position, branch-free per lane: a live lane (`macs[j] == walked`) whose
+/// partial sum is below `low` stops with its sum replaced by `+0.0` (the
+/// early ReLU) and `predicted[j]` set; else one below `floor` stops with
+/// its sum kept; else it adds `row[j] * w` and counts the MAC. Returns the
+/// number of lanes still live.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length or the width is not a multiple of
+/// [`LANES`].
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+pub fn lane_predict(
+    acc: &mut [f32],
+    macs: &mut [u32],
+    predicted: &mut [u32],
+    row: &[f32],
+    w: f32,
+    walked: u32,
+    low: f32,
+    floor: f32,
+) -> usize {
+    let width = acc.len();
+    assert!(
+        macs.len() == width && predicted.len() == width && row.len() == width,
+        "lane_predict widths"
+    );
+    assert_eq!(width % LANES, 0, "lane_predict width");
+    let mut count = [0u32; LANES];
+    for (((a8, c8), p8), r8) in acc
+        .chunks_exact_mut(LANES)
+        .zip(macs.chunks_exact_mut(LANES))
+        .zip(predicted.chunks_exact_mut(LANES))
+        .zip(row.chunks_exact(LANES))
+    {
+        for ((((a, c), pr), &r), n) in a8.iter_mut().zip(c8).zip(p8).zip(r8).zip(&mut count) {
+            let live = if *c == walked { u32::MAX } else { 0 };
+            let is_low = live & if *a < low { u32::MAX } else { 0 };
+            let stop = is_low | (live & if *a < floor { u32::MAX } else { 0 });
+            let run = live & !stop;
+            let next = *a + r * w;
+            *a = f32::from_bits((next.to_bits() & run) | (a.to_bits() & !(run | is_low)));
+            *c = c.wrapping_sub(run);
+            *pr |= is_low;
+            *n = n.wrapping_sub(run);
+        }
+        lane_chunk_boundary();
+    }
+    count.iter().map(|&n| n as usize).sum()
+}
+
+/// Ends one eight-lane chunk of a broadcast kernel. LLVM lowers each
+/// chunk's elementwise loop to two packed SSE ops; without this barrier its
+/// loop vectorizer instead re-vectorizes *across* chunks, interleaving
+/// eight-float chunks through scalar loads and shuffles (measured ~3×
+/// slower), or vectorizes a flat loop with a scalar remainder that the
+/// asm gate rejects. `black_box(())` compiles to nothing.
+#[inline(always)]
+fn lane_chunk_boundary() {
+    std::hint::black_box(());
+}
+
 /// Strictly sequential scalar dot product — **deliberately not
 /// vectorizable** (the single accumulator chain forbids reassociation).
 /// This is the planted-scalarization symbol `scripts/asm_check.sh
@@ -555,6 +745,72 @@ mod tests {
                 }
                 prop_assert_eq!(acc, q.raw());
             }
+        }
+
+        #[test]
+        fn prop_lane_broadcast_matches_per_window_pinned_order(
+            seed in 0u64..1000,
+            blocks in 0usize..5,
+            tail in 0usize..8,
+            chunks in 1usize..4,
+        ) {
+            // `rows` taps of `width` windows, walked in a scrambled order:
+            // eight planes over the first `m8` positions, then one plane.
+            let (width, m8) = (chunks * LANES, blocks * LANES);
+            let rows = m8 + tail;
+            let x = lcg(seed + 30, rows * width);
+            let w = lcg(seed + 31, rows);
+            let order: Vec<u32> = (0..rows as u32).map(|p| (p * 5 + 3) % rows as u32).collect();
+            let bias = lcg(seed + 32, 1)[0];
+            let mut planes = vec![0.0f32; LANES * width];
+            let mut acc = vec![bias; width];
+            lane_broadcast(&mut planes, LANES, &x, width, &order[..m8], &w[..m8]);
+            if m8 > 0 {
+                lane_collapse8(&mut acc, &planes, bias);
+            }
+            lane_broadcast(&mut acc, 1, &x, width, &order[m8..], &w[m8..]);
+            for (j, &got) in acc.iter().enumerate() {
+                let values: Vec<f32> = order.iter().map(|&o| x[o as usize * width + j]).collect();
+                let mut want = if m8 > 0 { bias + pinned_dot_ref(&values, &w, m8) } else { bias };
+                for p in m8..rows {
+                    want += values[p] * w[p];
+                }
+                prop_assert_eq!(got.to_bits(), want.to_bits());
+            }
+        }
+
+        #[test]
+        fn prop_lane_masked_walk_matches_scalar_sign_checks(
+            seed in 0u64..1000,
+            rows in 0usize..24,
+            chunks in 1usize..4,
+            walked in 0u32..3,
+        ) {
+            let width = chunks * LANES;
+            let x = lcg(seed + 40, rows * width);
+            let w = lcg(seed + 41, rows);
+            let order: Vec<u32> = (0..rows as u32).rev().collect();
+            let mut acc: Vec<f32> = lcg(seed + 42, width).iter().map(|v| v + 0.25).collect();
+            // Every third lane starts a position behind: already stopped.
+            let mut macs: Vec<u32> = (0..width)
+                .map(|j| if j % 3 == 0 { walked.wrapping_sub(1) } else { walked })
+                .collect();
+            let (want_acc, want_macs) = (acc.clone(), macs.clone());
+            let (n, live) = lane_masked_walk(&mut acc, &mut macs, &x, width, &order, &w, walked, 0.0);
+            prop_assert_eq!(live, macs.iter().filter(|&&c| c == walked + n as u32).count());
+            for j in 0..width {
+                let (mut a, mut c) = (want_acc[j], want_macs[j]);
+                for (i, &o) in order.iter().take(n).enumerate() {
+                    if c != walked + i as u32 || a < 0.0 {
+                        continue;
+                    }
+                    a += x[o as usize * width + j] * w[i];
+                    c += 1;
+                }
+                prop_assert_eq!(acc[j].to_bits(), a.to_bits());
+                prop_assert_eq!(macs[j], c);
+            }
+            prop_assert!(n == rows || live == 0);
         }
 
         #[test]

@@ -4,12 +4,15 @@
 #   ./scripts/asm_check.sh                  # assert the lane kernels vectorize
 #   ./scripts/asm_check.sh --negative-smoke # assert the check CAN fail (seq_dot)
 #
-# The lane layer's hot kernels (`snapea_tensor::lane`) are `#[inline(never)]`
-# precisely so their machine code survives as standalone symbols in the
-# release rlib. This script disassembles the newest `libsnapea_tensor` rlib
-# and asserts, per kernel, that the body contains packed vector float ops
-# and zero scalar float multiplies — a structural proof that the compiler
-# vectorized the eight-wide loops, immune to benchmark noise.
+# The lane layer's hot kernels (`snapea_tensor::lane`: the lane dot
+# products, the GEMM axpy, and the executor's window-major broadcast walk —
+# `lane_broadcast`, `lane_collapse8`, `lane_predict`, `lane_masked_walk`)
+# are `#[inline(never)]` precisely so their machine code survives as
+# standalone symbols in the release rlib. This script disassembles the
+# newest `libsnapea_tensor` rlib and asserts, per kernel, that the body
+# contains packed vector float ops and zero scalar float multiplies — a
+# structural proof that the compiler vectorized the eight-wide loops,
+# immune to benchmark noise.
 #
 # `lane_q16_span` is deliberately absent from the strict set: its signed
 # 32x32->64-bit widening multiply has no packed form on baseline x86-64
@@ -110,4 +113,8 @@ check_kernel lane_axpy8 '4lane.*lane_axpy817h' pass
 check_kernel lane_dot '4lane.*lane_dot17h' pass
 check_kernel lane_dot_resolved '4lane.*lane_dot_resolved17h' pass
 check_kernel lane_dot_gather '4lane.*lane_dot_gather17h' pass
+check_kernel lane_broadcast '4lane.*lane_broadcast17h' pass
+check_kernel lane_collapse8 '4lane.*lane_collapse817h' pass
+check_kernel lane_predict '4lane.*lane_predict17h' pass
+check_kernel lane_masked_walk '4lane.*lane_masked_walk17h' pass
 echo "OK: all lane kernels carry packed vector float ops and no scalar multiplies"
