@@ -17,17 +17,24 @@
 //!    conservative (the paper's `ADJUSTPARAM`), re-simulating after each
 //!    adjustment.
 //!
+//! Every accuracy probe of the Local and Global passes re-evaluates only the
+//! nodes its parameter change can reach ([`Graph::forward_from`]) and runs
+//! each speculating layer with a [`LayerConfig`] built once, when its
+//! configuration is first probed (DESIGN.md §4, "Algorithm 1 probe engine").
+//!
 //! The optimizer runs **offline** — exactly as in the paper, it adds no
 //! runtime cost to inference.
 
 pub mod profiling;
 
+use crate::exec::{execute_conv, LayerConfig};
 use crate::params::{KernelMode, LayerParams, NetworkParams};
-use crate::spec_net::{profile_network, SpecNet};
+use crate::spec_net::profile_network;
 use profiling::{profile_layer_kernels, KernelTable};
 use snapea_nn::data::{LabeledImage, SynthShapes};
 use snapea_nn::graph::{Graph, NodeId, Op};
 use snapea_nn::loss::argmax_rows;
+use snapea_nn::ops::Conv2d;
 use snapea_tensor::Tensor4;
 use std::collections::BTreeMap;
 
@@ -84,6 +91,45 @@ pub struct LayerOption {
     pub ops: u64,
     /// Measured accuracy loss with only this layer speculating.
     pub err: f64,
+    /// The executor configuration built from `params` when it was probed,
+    /// reused by every Global-pass probe; `None` for the exact
+    /// configuration, which runs dense.
+    pub(crate) config: Option<LayerConfig>,
+}
+
+/// Work done by one pass's accuracy probes.
+#[derive(Debug, Default, Clone, Copy)]
+struct ProbeTally {
+    /// Accuracy probes run.
+    probes: u64,
+    /// Graph nodes re-evaluated, summed over the probes.
+    recomputed_nodes: u64,
+}
+
+/// What the three passes chose, before the final reporting profiles.
+#[derive(Debug)]
+struct Search {
+    /// Acceptable configurations per eligible layer, cheapest first.
+    options: BTreeMap<NodeId, Vec<LayerOption>>,
+    /// Chosen option index per eligible layer.
+    current: BTreeMap<NodeId, usize>,
+    /// Global-pass iterations used.
+    global_iterations: usize,
+    /// Accuracy under the chosen options.
+    final_accuracy: f64,
+    /// Probes of the Local pass.
+    local: ProbeTally,
+    /// Probes of the Global pass.
+    global: ProbeTally,
+}
+
+impl ProbeTally {
+    fn record(&mut self, recomputed_nodes: usize) {
+        self.probes += 1;
+        self.recomputed_nodes += recomputed_nodes as u64;
+        snapea_obs::counter("optimizer/probes").inc();
+        snapea_obs::counter("optimizer/recomputed_nodes").add(recomputed_nodes as u64);
+    }
 }
 
 /// Final decision for one layer.
@@ -180,70 +226,14 @@ impl<'a> Optimizer<'a> {
         let cached = self.net.forward(&batch);
         let baseline_accuracy = self.accuracy_from_acts(&cached);
 
-        // Eligible layers: conv nodes whose output feeds only ReLU.
-        let eligible: Vec<NodeId> = self
-            .net
-            .conv_ids()
-            .into_iter()
-            .filter(|&id| self.net.feeds_only_relu(id))
-            .collect();
-
-        // Pass 1: kernel profiling.
-        let budget = self.cfg.epsilon * self.cfg.surrogate_scale;
-        let mut tables: BTreeMap<NodeId, Vec<KernelTable>> = BTreeMap::new();
-        {
-            let _span = snapea_obs::span!("optimizer/profile");
-            for &l in &eligible {
-                let Op::Conv(conv) = &self.net.node(l).op else {
-                    // lint:allow(P1) eligible_ids filters on Op::Conv, so this arm cannot be reached
-                    unreachable!("eligible ids are conv nodes");
-                };
-                let input = &cached[self.net.node(l).inputs[0]];
-                let layer_tables = profile_layer_kernels(
-                    conv,
-                    input,
-                    &self.cfg.group_candidates,
-                    &self.cfg.threshold_quantiles,
-                    budget,
-                );
-                snapea_obs::counter("optimizer/kernels_profiled").add(layer_tables.len() as u64);
-                if snapea_obs::enabled() {
-                    let candidates: u64 = layer_tables.iter().map(|t| t.len() as u64).sum();
-                    snapea_obs::event!(
-                        "optimizer/profile",
-                        layer = self.net.node(l).name.clone(),
-                        kernels = layer_tables.len() as u64,
-                        candidates = candidates,
-                    );
-                }
-                tables.insert(l, layer_tables);
-            }
-        }
-
-        // Pass 2: local optimization.
-        let mut options: BTreeMap<NodeId, Vec<LayerOption>> = BTreeMap::new();
-        {
-            let _span = snapea_obs::span!("optimizer/local");
-            for &l in &eligible {
-                let probes_before = snapea_obs::counter("optimizer/probes").get();
-                let opts = self.local_options(l, &tables[&l], &batch, &cached, baseline_accuracy);
-                if snapea_obs::enabled() {
-                    snapea_obs::event!(
-                        "optimizer/local",
-                        layer = self.net.node(l).name.clone(),
-                        options = opts.len() as u64,
-                        probes = snapea_obs::counter("optimizer/probes").get() - probes_before,
-                    );
-                }
-                options.insert(l, opts);
-            }
-        }
-
-        // Pass 3: global optimization.
-        let (current, global_iterations) = {
-            let _span = snapea_obs::span!("optimizer/global");
-            self.global_pass(&options, &batch, baseline_accuracy)
-        };
+        let Search {
+            options,
+            current,
+            global_iterations,
+            final_accuracy,
+            local: local_tally,
+            global: global_tally,
+        } = self.search(&batch, &cached, baseline_accuracy);
 
         // Assemble final parameters.
         let mut params = NetworkParams::new();
@@ -252,9 +242,6 @@ impl<'a> Optimizer<'a> {
         }
 
         // Final reporting profiles.
-        let spec = SpecNet::new(self.net, &params);
-        let final_acts = spec.forward(&batch);
-        let final_accuracy = self.accuracy_from_acts(&final_acts);
         let final_profile = profile_network(self.net, &params, &batch, false);
         let exact_profile = profile_network(self.net, &NetworkParams::new(), &batch, false);
 
@@ -301,6 +288,10 @@ impl<'a> Optimizer<'a> {
             snapea_obs::event!(
                 "optimizer/global",
                 iterations = outcome.global_iterations as u64,
+                probes = global_tally.probes,
+                recomputed_nodes = global_tally.recomputed_nodes,
+                local_probes = local_tally.probes,
+                local_recomputed_nodes = local_tally.recomputed_nodes,
                 baseline_accuracy = outcome.baseline_accuracy,
                 final_accuracy = outcome.final_accuracy,
                 exact_ops = outcome.exact_ops,
@@ -311,18 +302,113 @@ impl<'a> Optimizer<'a> {
         outcome
     }
 
+    /// Algorithm 1's three passes over the unspeculated activations
+    /// `cached` of `batch`, whose accuracy is `baseline`.
+    fn search(&self, batch: &Tensor4, cached: &[Tensor4], baseline: f64) -> Search {
+        // Eligible layers: conv nodes whose output feeds only ReLU.
+        let eligible: Vec<(NodeId, &Conv2d)> = self
+            .net
+            .nodes()
+            .iter()
+            .enumerate()
+            .filter_map(|(id, node)| match &node.op {
+                Op::Conv(conv) if self.net.feeds_only_relu(id) => Some((id, conv)),
+                _ => None,
+            })
+            .collect();
+
+        // Pass 1: kernel profiling.
+        let budget = self.cfg.epsilon * self.cfg.surrogate_scale;
+        let mut tables: BTreeMap<NodeId, Vec<KernelTable>> = BTreeMap::new();
+        {
+            let _span = snapea_obs::span!("optimizer/profile");
+            for &(l, conv) in &eligible {
+                let input = &cached[self.net.node(l).inputs[0]];
+                let layer_tables = profile_layer_kernels(
+                    conv,
+                    input,
+                    &self.cfg.group_candidates,
+                    &self.cfg.threshold_quantiles,
+                    budget,
+                );
+                snapea_obs::counter("optimizer/kernels_profiled").add(layer_tables.len() as u64);
+                if snapea_obs::enabled() {
+                    let candidates: u64 = layer_tables.iter().map(|t| t.len() as u64).sum();
+                    snapea_obs::event!(
+                        "optimizer/profile",
+                        layer = self.net.node(l).name.clone(),
+                        kernels = layer_tables.len() as u64,
+                        candidates = candidates,
+                    );
+                }
+                tables.insert(l, layer_tables);
+            }
+        }
+
+        // Pass 2: local optimization, on one scratch copy of the
+        // unspeculated activations.
+        let mut options: BTreeMap<NodeId, Vec<LayerOption>> = BTreeMap::new();
+        let mut local = ProbeTally::default();
+        {
+            let _span = snapea_obs::span!("optimizer/local");
+            let mut scratch = cached.to_vec();
+            for &(l, conv) in &eligible {
+                let before = local;
+                let opts = self.local_options(
+                    (l, conv),
+                    &tables[&l],
+                    batch,
+                    (cached, &mut scratch),
+                    baseline,
+                    &mut local,
+                );
+                if snapea_obs::enabled() {
+                    snapea_obs::event!(
+                        "optimizer/local",
+                        layer = self.net.node(l).name.clone(),
+                        options = opts.len() as u64,
+                        probes = local.probes - before.probes,
+                        recomputed_nodes = local.recomputed_nodes - before.recomputed_nodes,
+                    );
+                }
+                options.insert(l, opts);
+            }
+        }
+
+        // Pass 3: global optimization.
+        let mut global = ProbeTally::default();
+        let (current, global_iterations, final_accuracy) = {
+            let _span = snapea_obs::span!("optimizer/global");
+            self.global_pass(&options, batch, baseline, &mut global)
+        };
+        Search {
+            options,
+            current,
+            global_iterations,
+            final_accuracy,
+            local,
+            global,
+        }
+    }
+
     /// The paper's `LOCALOPTIMIZATIONPASS` for one layer.
+    ///
+    /// Each probe recomputes `scratch` in place from `layer` on; `scratch`
+    /// starts equal to `cached` (the unspeculated activations) and is
+    /// restored to it before returning.
     fn local_options(
         &self,
-        layer: NodeId,
+        (layer, conv): (NodeId, &Conv2d),
         tables: &[KernelTable],
         batch: &Tensor4,
-        cached: &[Tensor4],
+        (cached, scratch): (&[Tensor4], &mut [Tensor4]),
         baseline: f64,
+        tally: &mut ProbeTally,
     ) -> Vec<LayerOption> {
         let mut opts: Vec<LayerOption> = Vec::new();
         let max_t = tables.iter().map(KernelTable::len).max().unwrap_or(1);
         let mut seen: Vec<LayerParams> = Vec::new();
+        let mut probed = false;
         for t in 0..self.cfg.local_configs.min(max_t) {
             let modes: Vec<KernelMode> = tables.iter().map(|tab| tab.get_clamped(t).mode).collect();
             let ops: u64 = tables.iter().map(|tab| tab.get_clamped(t).ops).sum();
@@ -335,18 +421,31 @@ impl<'a> Optimizer<'a> {
                 continue;
             }
             seen.push(params.clone());
-            let err = if params.is_predictive() {
-                snapea_obs::counter("optimizer/probes").inc();
-                let mut np = NetworkParams::new();
-                np.set(layer, params.clone());
-                let spec = SpecNet::new(self.net, &np);
-                let acts = spec.forward_from(batch, cached, layer);
-                baseline - self.accuracy_from_acts(&acts)
+            let (err, config) = if params.is_predictive() {
+                let cfg = LayerConfig::from_params(conv, &params);
+                let recomputed = self
+                    .net
+                    .forward_from(batch, scratch, layer, &mut |id, c, x| {
+                        (id == layer).then(|| execute_conv(c, x, &cfg).output)
+                    });
+                tally.record(recomputed);
+                probed = true;
+                (baseline - self.accuracy_from_acts(scratch), Some(cfg))
             } else {
-                0.0
+                (0.0, None)
             };
             if err <= self.cfg.epsilon {
-                opts.push(LayerOption { params, ops, err });
+                opts.push(LayerOption {
+                    params,
+                    ops,
+                    err,
+                    config,
+                });
+            }
+        }
+        if probed {
+            for id in self.net.downstream(layer) {
+                scratch[id] = cached[id].clone();
             }
         }
         // The exact configuration is always an acceptable fallback.
@@ -365,30 +464,33 @@ impl<'a> Optimizer<'a> {
                 params: LayerParams::Exact,
                 ops: exact_ops,
                 err: 0.0,
+                config: None,
             });
         }
         opts.sort_by_key(|o| o.ops);
         opts
     }
 
-    /// The paper's `GLOBALOPTIMIZATIONPASS` + `ADJUSTPARAM`.
+    /// The paper's `GLOBALOPTIMIZATIONPASS` + `ADJUSTPARAM`. Returns the
+    /// chosen option per layer, the iterations used and the accuracy under
+    /// the chosen options.
+    ///
+    /// One running activation vector follows `current`: after a move of
+    /// layer `l` only the nodes reachable from `l` are recomputed, which is
+    /// exact because no other layer's configuration changed.
     fn global_pass(
         &self,
         options: &BTreeMap<NodeId, Vec<LayerOption>>,
         batch: &Tensor4,
         baseline: f64,
-    ) -> (BTreeMap<NodeId, usize>, usize) {
+        tally: &mut ProbeTally,
+    ) -> (BTreeMap<NodeId, usize>, usize, f64) {
         let mut current: BTreeMap<NodeId, usize> = options.keys().map(|&l| (l, 0usize)).collect();
-        let simulate = |cur: &BTreeMap<NodeId, usize>| -> f64 {
-            snapea_obs::counter("optimizer/probes").inc();
-            let mut params = NetworkParams::new();
-            for (&l, &t) in cur {
-                params.set(l, options[&l][t].params.clone());
-            }
-            let spec = SpecNet::new(self.net, &params);
-            baseline - spec_accuracy(&spec, self.data, batch)
-        };
-        let mut err = simulate(&current);
+        let mut acts = self
+            .net
+            .forward_with(batch, &mut option_hook(options, &current));
+        tally.record(acts.len());
+        let mut err = baseline - self.accuracy_from_acts(&acts);
         let mut iters = 0usize;
         while err > self.cfg.epsilon && iters < self.cfg.max_global_iters {
             // ADJUSTPARAM: best merit −Δerr/Δop over every possible move.
@@ -414,28 +516,35 @@ impl<'a> Optimizer<'a> {
                         .unwrap_or(opts.len() - 1);
                     current.insert(l, exact_idx);
                 }
+                acts = self
+                    .net
+                    .forward_with(batch, &mut option_hook(options, &current));
                 iters += 1;
                 break;
             };
             current.insert(l, t);
-            err = simulate(&current);
+            let recomputed =
+                self.net
+                    .forward_from(batch, &mut acts, l, &mut option_hook(options, &current));
+            tally.record(recomputed);
+            err = baseline - self.accuracy_from_acts(&acts);
             iters += 1;
         }
-        (current, iters)
+        let accuracy = self.accuracy_from_acts(&acts);
+        (current, iters, accuracy)
     }
 }
 
-fn spec_accuracy(spec: &SpecNet<'_>, data: &[LabeledImage], batch: &Tensor4) -> f64 {
-    let acts = spec.forward(batch);
-    // lint:allow(P1) forward returns one activation per node and the graph is non-empty by construction
-    let logits = acts.last().expect("non-empty graph").to_matrix();
-    let preds = argmax_rows(&logits);
-    preds
-        .iter()
-        .zip(data)
-        .filter(|(p, d)| **p == d.label)
-        .count() as f64
-        / data.len() as f64
+/// Conv hook running every layer with the prebuilt configuration of its
+/// current option; layers without one (exact or not eligible) run dense.
+fn option_hook<'o>(
+    options: &'o BTreeMap<NodeId, Vec<LayerOption>>,
+    current: &'o BTreeMap<NodeId, usize>,
+) -> impl FnMut(NodeId, &Conv2d, &Tensor4) -> Option<Tensor4> + 'o {
+    move |id, conv, x| {
+        let cfg = options.get(&id)?.get(*current.get(&id)?)?.config.as_ref()?;
+        Some(execute_conv(conv, x, cfg).output)
+    }
 }
 
 #[cfg(test)]
@@ -505,6 +614,74 @@ mod tests {
             loose.final_ops,
             tight.final_ops
         );
+    }
+
+    /// Every accuracy Algorithm 1 took from an incremental probe equals a
+    /// from-scratch `SpecNet::forward` under the same parameters, bit for
+    /// bit, and the search makes the same moves as one that re-simulates the
+    /// whole network per probe.
+    #[test]
+    fn search_is_pinned_against_from_scratch_resimulation() {
+        use crate::spec_net::SpecNet;
+        let net = zoo::mini_googlenet(4);
+        // Labels are the dense network's own predictions, so every flipped
+        // prediction costs accuracy and the global pass has work to do.
+        let mut data = SynthShapes::new(zoo::INPUT_SIZE, 4).generate(8, 5);
+        let preds = argmax_rows(&net.logits(&SynthShapes::batch(&data)));
+        for (d, p) in data.iter_mut().zip(preds) {
+            d.label = p;
+        }
+        let cfg = OptimizerConfig {
+            group_candidates: vec![1, 4],
+            threshold_quantiles: vec![0.5, 0.9],
+            local_configs: 3,
+            ..OptimizerConfig::with_epsilon(0.2)
+        };
+        let opt = Optimizer::new(&net, &data, cfg);
+        let batch = SynthShapes::batch(&data);
+        let cached = net.forward(&batch);
+        let baseline = opt.accuracy_from_acts(&cached);
+        let search = opt.search(&batch, &cached, baseline);
+
+        let resimulate = |params: &NetworkParams| {
+            opt.accuracy_from_acts(&SpecNet::new(&net, params).forward(&batch))
+        };
+        for (&l, opts) in &search.options {
+            let Op::Conv(conv) = &net.node(l).op else {
+                panic!("option for non-conv node {l}");
+            };
+            for o in opts {
+                let want = o
+                    .params
+                    .is_predictive()
+                    .then(|| LayerConfig::from_params(conv, &o.params));
+                assert_eq!(o.config, want, "layer {l}: stored config");
+                let mut np = NetworkParams::new();
+                np.set(l, o.params.clone());
+                let err = baseline - resimulate(&np);
+                assert_eq!(o.err.to_bits(), err.to_bits(), "layer {l}: option err");
+            }
+        }
+        let mut params = NetworkParams::new();
+        for (&l, opts) in &search.options {
+            params.set(l, opts[search.current[&l]].params.clone());
+        }
+        let final_accuracy = resimulate(&params);
+        assert_eq!(search.final_accuracy.to_bits(), final_accuracy.to_bits());
+        assert!(baseline - final_accuracy <= 0.2);
+
+        // The counts and outcome of the full-re-simulation search on this
+        // setup.
+        let out = opt.run();
+        assert_eq!(out.final_ops, 11_442_332);
+        assert_eq!(out.final_accuracy.to_bits(), final_accuracy.to_bits());
+        assert_eq!(out.global_iterations, 17);
+        assert_eq!(search.global_iterations, 17);
+        assert_eq!(search.local.probes, 170);
+        assert_eq!(search.global.probes, 18);
+        // Incremental probes re-evaluate a fraction of the graph.
+        let full = (net.len() as u64) * (search.local.probes + search.global.probes);
+        assert!(search.local.recomputed_nodes + search.global.recomputed_nodes < full);
     }
 
     #[test]

@@ -3,7 +3,10 @@
 //!
 //! This is the `Simulate(CNN, D, …)` primitive of the paper's Algorithm 1:
 //! it yields both the classification accuracy under a given parameter
-//! assignment and the per-layer operation counts.
+//! assignment and the per-layer operation counts. Algorithm 1's own probes
+//! ([`crate::optimizer`]) run the same dataflow incrementally, through
+//! [`Graph::forward_from`] with prebuilt layer configurations; a
+//! [`SpecNet::forward`] from scratch gives bitwise the same activations.
 
 use crate::exec::{execute_conv, execute_conv_stats, LayerConfig, LayerProfile, PredictionStats};
 use crate::params::{LayerParams, NetworkParams};
@@ -61,18 +64,6 @@ impl<'a> SpecNet<'a> {
                 .get(&id)
                 .map(|cfg| execute_conv(conv, x, cfg).output)
         })
-    }
-
-    /// Forward pass reusing `cached` activations of an unspeculated forward,
-    /// recomputing only from `root` on (the Local-Optimization fast path).
-    pub fn forward_from(&self, input: &Tensor4, cached: &[Tensor4], root: NodeId) -> Vec<Tensor4> {
-        let configs = self.configs();
-        self.net
-            .forward_from(input, cached, root, &mut |id, conv, x| {
-                configs
-                    .get(&id)
-                    .map(|cfg| execute_conv(conv, x, cfg).output)
-            })
     }
 
     /// Classification accuracy over labelled images (batched as one tensor).
@@ -345,25 +336,5 @@ mod tests {
         );
         let fc8 = prof.layer(fc_ids[2]).expect("fc8 profiled");
         assert_eq!(fc8.total_ops(), fc8.full_macs(), "classifier runs dense");
-    }
-
-    #[test]
-    fn forward_from_agrees_with_full_forward() {
-        let net = zoo::mini_squeezenet(4);
-        let data = SynthShapes::new(zoo::INPUT_SIZE, 4).generate(4, 51);
-        let batch = SynthShapes::batch(&data);
-        let cached = net.forward(&batch);
-        let conv = net.conv_ids()[3];
-        let mut params = NetworkParams::new();
-        if let Op::Conv(c) = &net.node(conv).op {
-            params.set(
-                conv,
-                LayerParams::uniform(c.c_out(), KernelParams::new(0.1, 2)),
-            );
-        }
-        let spec = SpecNet::new(&net, &params);
-        let fast = spec.forward_from(&batch, &cached, conv);
-        let slow = spec.forward(&batch);
-        assert_eq!(fast.last(), slow.last());
     }
 }

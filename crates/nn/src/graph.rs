@@ -229,37 +229,48 @@ impl Graph {
         acts
     }
 
-    /// Recomputes only the part of the graph affected by a change at node
-    /// `root`, starting from cached activations of a previous full forward.
+    /// Node `root` and every node reachable from it, ascending — the nodes
+    /// a change at `root` can affect.
+    pub fn downstream(&self, root: NodeId) -> Vec<NodeId> {
+        let mut dirty = vec![false; self.nodes.len()];
+        let mut ids = Vec::new();
+        for id in root..self.nodes.len() {
+            if id == root || self.nodes[id].inputs.iter().any(|&i| dirty[i]) {
+                dirty[id] = true;
+                ids.push(id);
+            }
+        }
+        ids
+    }
+
+    /// Recomputes, in place, the part of the graph affected by a change at
+    /// node `root`: overwrites `acts[id]` for every id in
+    /// [`Graph::downstream`]`(root)` and leaves every other entry untouched.
+    /// Returns the number of nodes re-evaluated.
     ///
-    /// `cached` must come from a forward pass over the same input. The
-    /// activation of `root` itself is recomputed (through the override hook
-    /// if it is a conv node), as is everything reachable from it.
+    /// `acts` must hold one activation per node of a previous forward pass
+    /// over the same input. `root` itself is recomputed (through the
+    /// override hook if it is a conv node). When only `root`'s execution
+    /// changed since `acts` was produced, the result is bitwise what
+    /// [`Graph::forward_with`] gives under the same hook: every node outside
+    /// the downstream set is a deterministic function of unchanged inputs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `acts.len()` differs from the node count.
     pub fn forward_from(
         &self,
         input: &Tensor4,
-        cached: &[Tensor4],
+        acts: &mut [Tensor4],
         root: NodeId,
         conv_override: &mut ConvOverride<'_>,
-    ) -> Vec<Tensor4> {
-        assert_eq!(cached.len(), self.nodes.len(), "cache length");
-        let mut dirty = vec![false; self.nodes.len()];
-        dirty[root] = true;
-        for id in root + 1..self.nodes.len() {
-            if self.nodes[id].inputs.iter().any(|&i| dirty[i]) {
-                dirty[id] = true;
-            }
+    ) -> usize {
+        assert_eq!(acts.len(), self.nodes.len(), "activation cache length");
+        let ids = self.downstream(root);
+        for &id in &ids {
+            acts[id] = self.eval_node(id, &self.nodes[id], input, acts, conv_override);
         }
-        let mut acts: Vec<Tensor4> = Vec::with_capacity(self.nodes.len());
-        for (id, node) in self.nodes.iter().enumerate() {
-            let out = if dirty[id] {
-                self.eval_node(id, node, input, &acts, conv_override)
-            } else {
-                cached[id].clone()
-            };
-            acts.push(out);
-        }
-        acts
+        ids.len()
     }
 
     fn eval_node(
@@ -629,9 +640,12 @@ mod tests {
         let x = Tensor4::full(Shape4::new(1, 1, 4, 4), 0.5);
         let cached = g.forward(&x);
         // Override conv (node 1) with zeros and recompute from it.
-        let acts = g.forward_from(&x, &cached, 1, &mut |_, c, inp| {
+        let mut acts = cached.clone();
+        let recomputed = g.forward_from(&x, &mut acts, 1, &mut |_, c, inp| {
             Some(Tensor4::zeros(c.out_shape(inp.shape())))
         });
+        assert_eq!(recomputed, 5, "everything but the input is downstream");
+        assert_eq!(acts[0], cached[0]);
         assert!(acts[1].iter().all(|&v| v == 0.0));
         // Final logits must equal a full forward with the same override.
         let full = g.forward_with(&x, &mut |_, c, inp| {
@@ -640,6 +654,62 @@ mod tests {
         assert_eq!(acts[5], full[5]);
         // And differ from the unmodified network (with overwhelming probability).
         assert_ne!(acts[5], cached[5]);
+    }
+
+    fn assert_acts_bitwise_eq(got: &[Tensor4], want: &[Tensor4], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: node count");
+        for (id, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.shape(), w.shape(), "{what}: node {id} shape");
+            let same = g
+                .as_slice()
+                .iter()
+                .zip(w.as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "{what}: node {id} differs bitwise");
+        }
+    }
+
+    /// Dense convolution, then every output of a perturbed node halved and
+    /// shifted, so the change shows in every downstream activation.
+    fn perturbing_hook(
+        perturbed: &[NodeId],
+    ) -> impl FnMut(NodeId, &Conv2d, &Tensor4) -> Option<Tensor4> + '_ {
+        move |id, c, x| {
+            perturbed
+                .contains(&id)
+                .then(|| c.forward(x).map(|v| v * 0.5 - 0.25))
+        }
+    }
+
+    #[test]
+    fn in_place_recompute_equals_full_forward_on_branching_nets() {
+        let mut rng = init::rng(11);
+        let x = init::uniform4(Shape4::new(2, 3, 32, 32), 1.0, &mut rng).map(f32::abs);
+        for (name, g) in [
+            ("googlenet", crate::zoo::mini_googlenet(4)),
+            ("squeezenet", crate::zoo::mini_squeezenet(4)),
+        ] {
+            let cached = g.forward(&x);
+            let convs = g.conv_ids();
+            // One root at a time, from the unperturbed cache.
+            for &root in &convs {
+                let mut acts = cached.clone();
+                let n = g.forward_from(&x, &mut acts, root, &mut perturbing_hook(&[root]));
+                assert_eq!(n, g.downstream(root).len());
+                let full = g.forward_with(&x, &mut perturbing_hook(&[root]));
+                assert_acts_bitwise_eq(&acts, &full, &format!("{name} root {root}"));
+            }
+            // A chain of roots applied to one running vector, the way
+            // Algorithm 1's global pass moves one layer at a time.
+            let mut running = cached.clone();
+            let mut perturbed: Vec<NodeId> = Vec::new();
+            for &root in convs.iter().rev().step_by(3) {
+                perturbed.push(root);
+                g.forward_from(&x, &mut running, root, &mut perturbing_hook(&perturbed));
+                let full = g.forward_with(&x, &mut perturbing_hook(&perturbed));
+                assert_acts_bitwise_eq(&running, &full, &format!("{name} chain to {root}"));
+            }
+        }
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use snapea_tensor::{Shape4, Tensor4};
+use std::ops::Range;
 
 /// Pooling geometry: square window, stride, zero padding.
 ///
@@ -44,29 +45,24 @@ impl PoolGeom {
         Shape4::new(s.n, s.c, self.out_dim(s.h), self.out_dim(s.w))
     }
 
-    /// Iterates the valid (in-bounds) input coordinates of output window
-    /// `(oy, ox)` for an input of spatial extent `(h, w)`.
-    fn window_coords(
+    /// The in-bounds input `(rows, cols)` of output window `(oy, ox)` for an
+    /// input of spatial extent `(h, w)`: the window clamped to the input,
+    /// empty along an axis where it lies wholly in the padding. Walking rows
+    /// outer and columns inner visits the taps in `ky`-then-`kx` order.
+    fn window_ranges(
         &self,
         oy: usize,
         ox: usize,
         h: usize,
         w: usize,
-    ) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let y0 = (oy * self.stride) as isize - self.pad as isize;
-        let x0 = (ox * self.stride) as isize - self.pad as isize;
-        let k = self.k as isize;
-        (0..k).flat_map(move |ky| {
-            (0..k).filter_map(move |kx| {
-                let iy = y0 + ky;
-                let ix = x0 + kx;
-                if iy >= 0 && ix >= 0 && (iy as usize) < h && (ix as usize) < w {
-                    Some((iy as usize, ix as usize))
-                } else {
-                    None
-                }
-            })
-        })
+    ) -> (Range<usize>, Range<usize>) {
+        let clamp = |o: usize, d: usize| {
+            // Window start in padded coordinates; input index = padded − pad.
+            let p0 = o * self.stride;
+            let end = (p0 + self.k).saturating_sub(self.pad).min(d);
+            p0.saturating_sub(self.pad).min(end)..end
+        };
+        (clamp(oy, h), clamp(ox, w))
     }
 }
 
@@ -104,24 +100,29 @@ impl MaxPool {
         let mut out = Tensor4::zeros(os);
         let mut arg = vec![0u32; os.len()];
         let data = input.as_slice();
+        let values = out.as_mut_slice();
+        let plane = s.h * s.w;
         let mut oi = 0;
-        for n in 0..os.n {
-            for c in 0..os.c {
-                for oy in 0..os.h {
-                    for ox in 0..os.w {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_off = u32::MAX;
-                        for (iy, ix) in self.geom.window_coords(oy, ox, s.h, s.w) {
-                            let off = s.offset(n, c, iy, ix);
-                            if data[off] > best {
-                                best = data[off];
+        for p in 0..os.n * os.c {
+            let base = p * plane;
+            for oy in 0..os.h {
+                for ox in 0..os.w {
+                    let (rows, cols) = self.geom.window_ranges(oy, ox, s.h, s.w);
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_off = u32::MAX;
+                    for iy in rows {
+                        let row = base + iy * s.w;
+                        let taps = &data[row + cols.start..row + cols.end];
+                        for (off, &v) in (row + cols.start..).zip(taps) {
+                            if v > best {
+                                best = v;
                                 best_off = off as u32;
                             }
                         }
-                        out.as_mut_slice()[oi] = if best_off == u32::MAX { 0.0 } else { best };
-                        arg[oi] = best_off;
-                        oi += 1;
                     }
+                    values[oi] = if best_off == u32::MAX { 0.0 } else { best };
+                    arg[oi] = best_off;
+                    oi += 1;
                 }
             }
         }
@@ -163,9 +164,12 @@ impl AvgPool {
         let os = self.geom.out_shape(s);
         let norm = 1.0 / (self.geom.k * self.geom.k) as f32;
         Tensor4::from_fn(os, |n, c, oy, ox| {
+            let (rows, cols) = self.geom.window_ranges(oy, ox, s.h, s.w);
             let mut acc = 0.0;
-            for (iy, ix) in self.geom.window_coords(oy, ox, s.h, s.w) {
-                acc += input[(n, c, iy, ix)];
+            for iy in rows {
+                for ix in cols.clone() {
+                    acc += input[(n, c, iy, ix)];
+                }
             }
             acc * norm
         })
@@ -182,11 +186,13 @@ impl AvgPool {
                 for oy in 0..os.h {
                     for ox in 0..os.w {
                         let g = grad_out[(n, c, oy, ox)] * norm;
-                        for (iy, ix) in
+                        let (rows, cols) =
                             self.geom
-                                .window_coords(oy, ox, input_shape.h, input_shape.w)
-                        {
-                            grad_in[(n, c, iy, ix)] += g;
+                                .window_ranges(oy, ox, input_shape.h, input_shape.w);
+                        for iy in rows {
+                            for ix in cols.clone() {
+                                grad_in[(n, c, iy, ix)] += g;
+                            }
                         }
                     }
                 }

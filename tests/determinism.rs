@@ -12,8 +12,12 @@
 
 use snapea_suite::core::exec::{execute_conv_q16, execute_conv_stats, LayerConfig};
 use snapea_suite::core::optimizer::profiling::profile_layer_kernels;
+use snapea_suite::core::optimizer::{Optimizer, OptimizerConfig};
 use snapea_suite::core::params::KernelParams;
+use snapea_suite::nn::data::SynthShapes;
+use snapea_suite::nn::loss::argmax_rows;
 use snapea_suite::nn::ops::Conv2d;
+use snapea_suite::nn::zoo;
 use snapea_suite::tensor::im2col::ConvGeom;
 use snapea_suite::tensor::{init, par, q16, Shape4, Tensor4};
 
@@ -175,6 +179,48 @@ fn optimizer_profiling_is_bit_identical_across_thread_counts() {
         || profile_layer_kernels(&conv, &input, &[1, 2, 4], &[0.25, 0.5, 0.9], 1.0),
         |serial, parallel, t| {
             assert_eq!(serial, parallel, "{t} threads");
+        },
+    );
+}
+
+/// Algorithm 1 end to end — profiling, the incremental local and global
+/// probes, and the final reporting profiles — on a Fire network.
+#[test]
+fn optimizer_outcome_is_bit_identical_across_thread_counts() {
+    let net = zoo::mini_squeezenet(4);
+    // Labels are the dense network's own predictions, so speculation costs
+    // accuracy and the global pass iterates.
+    let mut data = SynthShapes::new(zoo::INPUT_SIZE, 4).generate(8, 5);
+    let preds = argmax_rows(&net.logits(&SynthShapes::batch(&data)));
+    for (d, p) in data.iter_mut().zip(preds) {
+        d.label = p;
+    }
+    let cfg = OptimizerConfig {
+        group_candidates: vec![1, 4],
+        threshold_quantiles: vec![0.5, 0.9],
+        local_configs: 3,
+        ..OptimizerConfig::with_epsilon(0.1)
+    };
+    against_serial(
+        || Optimizer::new(&net, &data, cfg.clone()).run(),
+        |serial, parallel, t| {
+            assert!(serial.global_iterations > 0, "the global pass must iterate");
+            assert_eq!(serial.params, parallel.params, "params at {t}");
+            assert_eq!(serial.per_layer, parallel.per_layer, "per-layer at {t}");
+            assert_eq!(
+                (serial.final_ops, serial.exact_ops, serial.full_macs),
+                (parallel.final_ops, parallel.exact_ops, parallel.full_macs),
+                "op counts at {t}"
+            );
+            assert_eq!(
+                serial.global_iterations, parallel.global_iterations,
+                "iterations at {t}"
+            );
+            assert_eq!(
+                serial.final_accuracy.to_bits(),
+                parallel.final_accuracy.to_bits(),
+                "final accuracy at {t}"
+            );
         },
     );
 }

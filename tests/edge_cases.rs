@@ -5,7 +5,7 @@
 use snapea_suite::core::exec::{execute_conv, LayerConfig};
 use snapea_suite::core::params::KernelMode;
 use snapea_suite::core::reorder::sign_reorder;
-use snapea_suite::nn::ops::Conv2d;
+use snapea_suite::nn::ops::{Conv2d, MaxPool};
 use snapea_suite::oracle::reference;
 use snapea_suite::oracle::OracleRng;
 use snapea_suite::tensor::{ConvGeom, Shape4, Tensor4};
@@ -202,4 +202,71 @@ fn fully_predictive_threshold_squashes_every_window() {
     for &ops in res.profile.ops_slice() {
         assert_eq!(ops, 4, "prediction costs exactly `groups` MACs");
     }
+}
+
+/// Max-pool output values and argmax map must equal the oracle's bit for
+/// bit: NaN never wins, the first of tied taps wins (so `-0.0` before
+/// `+0.0` survives), and windows with no tap above `-inf` — all `-inf`, all
+/// NaN, or wholly in the padding — output `+0.0` with argmax `u32::MAX`.
+#[test]
+fn maxpool_matches_oracle_on_nan_signed_zero_and_padding_windows() {
+    let shape = Shape4::new(2, 3, 5, 6);
+    let mut r = OracleRng::new(91);
+    let mut v: Vec<f32> = (0..shape.len())
+        .map(|_| match r.range(0, 5) {
+            0 => f32::NAN,
+            1 => 0.0,
+            2 => -0.0,
+            3 => f32::NEG_INFINITY,
+            _ => r.uniform(-1.0, 1.0),
+        })
+        .collect();
+    let plane = shape.h * shape.w;
+    // Channel planes with one value everywhere: all-(-inf), all-NaN, and an
+    // alternating -0.0/+0.0 plane where every window is a signed-zero tie.
+    v[..plane].fill(f32::NEG_INFINITY);
+    v[plane..2 * plane].fill(f32::NAN);
+    for (i, x) in v[2 * plane..3 * plane].iter_mut().enumerate() {
+        *x = if i % 2 == 0 { -0.0 } else { 0.0 };
+    }
+    let input = Tensor4::from_vec(shape, v).unwrap();
+
+    let mut padding_windows = 0;
+    for k in 1..=3 {
+        for stride in 1..=2 {
+            for pad in 0..=1 {
+                let what = format!("k {k} stride {stride} pad {pad}");
+                let (out, arg) = MaxPool::with_pad(k, stride, pad).forward(&input);
+                let (want, want_arg) = reference::maxpool(&input, k, stride, pad);
+                assert_eq!(out.shape(), want.shape(), "{what}");
+                assert_eq!(arg, want_arg, "{what}: argmax");
+                for (i, (a, b)) in out.as_slice().iter().zip(want.as_slice()).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{what}: element {i}: {a} vs {b}");
+                }
+                // The all-(-inf) and all-NaN planes pick nothing.
+                let out_plane = out.shape().h * out.shape().w;
+                assert!(
+                    arg[..2 * out_plane].iter().all(|&a| a == u32::MAX),
+                    "{what}"
+                );
+                padding_windows += arg.iter().filter(|&&a| a == u32::MAX).count();
+            }
+        }
+    }
+    assert!(padding_windows > 0);
+
+    // A window holding -0.0 then +0.0 keeps the first.
+    let tie = Tensor4::from_vec(Shape4::new(1, 1, 2, 2), vec![-0.0, 0.0, 0.0, -0.0]).unwrap();
+    let (out, arg) = MaxPool::new(2, 1).forward(&tie);
+    assert_eq!(out.as_slice()[0].to_bits(), (-0.0f32).to_bits());
+    assert_eq!(arg, vec![0]);
+    // k = 1 with pad 1: the border windows lie wholly in the padding.
+    let ones = Tensor4::full(Shape4::new(1, 1, 2, 2), 1.0);
+    let (out, arg) = MaxPool::with_pad(1, 1, 1).forward(&ones);
+    assert_eq!(out.shape(), Shape4::new(1, 1, 4, 4));
+    assert_eq!(
+        (out.as_slice()[0].to_bits(), arg[0]),
+        (0.0f32.to_bits(), u32::MAX)
+    );
+    assert_eq!((out.as_slice()[5], arg[5]), (1.0, 0));
 }
