@@ -709,6 +709,7 @@ fn main() {
         ),
     ];
     par::set_threads(args.threads);
+    let lane_isa = snapea_obs::run::lane_isa();
 
     if let Some((benches, gemm_rows)) = parallel_sections {
         let thread_grid = Json::Arr(grid.iter().map(|&t| Json::from(t as u64)).collect());
@@ -720,6 +721,7 @@ fn main() {
             ("reps".to_string(), reps.into()),
             ("thread_grid".to_string(), thread_grid),
             ("available_parallelism".to_string(), avail.into()),
+            ("lane_isa".to_string(), lane_isa.into()),
             ("degraded".to_string(), degraded.into()),
             ("benches".to_string(), Json::Arr(benches)),
             ("gemm".to_string(), Json::Arr(gemm_rows)),
@@ -739,6 +741,7 @@ fn main() {
         ("reps".to_string(), kernel_reps.into()),
         ("threads".to_string(), 1u64.into()),
         ("available_parallelism".to_string(), avail.into()),
+        ("lane_isa".to_string(), lane_isa.into()),
         ("degraded".to_string(), degraded.into()),
         ("kernels".to_string(), Json::Arr(kernels)),
     ]);

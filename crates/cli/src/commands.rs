@@ -673,11 +673,16 @@ fn known_rules() -> String {
 }
 
 /// `report <events.jsonl>`: summarises a structured run-event log written by
-/// the obs layer (e.g. `repro-results/<run>/events.jsonl`).
+/// the obs layer (e.g. `repro-results/<run>/events.jsonl`), with the
+/// run-level fields (`lane_isa`) of the `manifest.json` beside it, if any.
 pub fn report(args: &Args) -> CmdResult {
     let path = args.required_positional("events.jsonl")?;
     let text = fs::read_to_string(path)?;
-    let r = Report::from_jsonl(&text)?;
+    let mut r = Report::from_jsonl(&text)?;
+    let manifest = std::path::Path::new(path).with_file_name("manifest.json");
+    if let Ok(m) = fs::read_to_string(manifest) {
+        r = r.with_manifest(&snapea_obs::parse(&m)?);
+    }
     if args.flag("json") {
         return Ok(format!("{}\n", r.to_json()));
     }
@@ -958,6 +963,18 @@ mod tests {
         let args = Args::parse_with_flags(["report", path.as_str(), "--json"], &["json"]).unwrap();
         let doc = snapea_obs::parse(&run(&args).unwrap()).expect("valid json");
         assert_eq!(doc.get("events").and_then(Json::as_u64), Some(2));
+        assert!(doc.get("lane_isa").is_none(), "no manifest, no lane_isa");
+
+        // The run's manifest beside the log supplies the lane ISA.
+        fs::write(
+            dir.join("manifest.json"),
+            "{\"lane_isa\":\"avx2\",\"threads\":2}\n",
+        )
+        .unwrap();
+        let doc = snapea_obs::parse(&run(&args).unwrap()).expect("valid json");
+        assert_eq!(doc.get("lane_isa").and_then(Json::as_str), Some("avx2"));
+        let args = Args::parse(["report", path.as_str()]).unwrap();
+        assert!(run(&args).unwrap().contains("lane kernels: avx2"));
     }
 
     #[test]

@@ -1048,9 +1048,11 @@ struct UnitWalk {
 
 /// Lowers `images` of `input` side by side into `slab`, tap-major: row `i`
 /// holds tap `i` of every window of the first image, then of the second,
-/// and so on (`cols = images.len() × windows` per row). `slab` arrives
-/// zeroed, as [`snapea_tensor::im2col::im2col_into`] requires.
-// lint:allow(P2) each image's block i*windows..(i+1)*windows lies inside a row of cols = images × windows
+/// and so on (`cols = images.len() × windows` per row). Each image is
+/// lowered straight into its column block at row stride `cols`. `slab`
+/// arrives zeroed, as [`snapea_tensor::im2col::im2col_strided_into`]
+/// requires.
+// lint:allow(P2) image i's block starts at i*windows, inside the first row of cols = images × windows
 fn lower_images(
     input: &Tensor4,
     images: std::ops::Range<usize>,
@@ -1058,21 +1060,10 @@ fn lower_images(
     windows: usize,
     slab: &mut [f32],
 ) {
-    if images.len() == 1 {
-        snapea_tensor::im2col::im2col_into(input, images.start, geom, slab);
-        return;
-    }
     let cols = images.len() * windows;
-    let rows = slab.len() / cols;
-    snapea_tensor::scratch::with_zeroed(rows * windows, |one| {
-        for (i, n) in images.enumerate() {
-            one.fill(0.0);
-            snapea_tensor::im2col::im2col_into(input, n, geom, one);
-            for (r, src) in one.chunks_exact(windows).enumerate() {
-                slab[r * cols + i * windows..][..windows].copy_from_slice(src);
-            }
-        }
-    });
+    for (i, n) in images.enumerate() {
+        snapea_tensor::im2col::im2col_strided_into(input, n, geom, &mut slab[i * windows..], cols);
+    }
 }
 
 /// Walks every window of `images` for one kernel. `slab` is their

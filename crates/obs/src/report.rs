@@ -104,6 +104,9 @@ pub struct Report {
     pub exec: Option<ExecSummary>,
     /// Simulator summary, when the log contains `sim/layer` events.
     pub sim: Option<SimSummary>,
+    /// The lane instruction set the run's kernels used (`"avx2"` or
+    /// `"baseline"`), from its manifest ([`Report::with_manifest`]).
+    pub lane_isa: Option<String>,
 }
 
 fn f(e: &Json, key: &str) -> Option<f64> {
@@ -238,6 +241,16 @@ impl Report {
         Ok(report)
     }
 
+    /// Takes the run-level fields of the run's `manifest.json` (today its
+    /// `lane_isa`) into the report.
+    pub fn with_manifest(mut self, manifest: &Json) -> Report {
+        self.lane_isa = manifest
+            .get("lane_isa")
+            .and_then(Json::as_str)
+            .map(str::to_string);
+        self
+    }
+
     /// The report as a JSON object (the `--json` shape of
     /// `snapea-tool report`).
     pub fn to_json(&self) -> Json {
@@ -265,6 +278,9 @@ impl Report {
             ("kinds".to_string(), kinds),
             ("phases".to_string(), phases),
         ];
+        if let Some(isa) = &self.lane_isa {
+            pairs.push(("lane_isa".to_string(), Json::from(isa.clone())));
+        }
         if let Some(t) = &self.train {
             pairs.push((
                 "train".to_string(),
@@ -312,6 +328,9 @@ impl Report {
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("events: {}\n", self.events));
+        if let Some(isa) = &self.lane_isa {
+            out.push_str(&format!("lane kernels: {isa}\n"));
+        }
         if !self.kinds.is_empty() {
             out.push_str("\nevent kinds\n");
             for (kind, count) in &self.kinds {

@@ -5,7 +5,7 @@
 //! ```text
 //! repro-results/<run-id>/
 //!   events.jsonl    # every obs event emitted during the run
-//!   manifest.json   # git rev, config, experiments, elapsed, metric totals
+//!   manifest.json   # git rev, config, threads, lane_isa, experiments, elapsed, metric totals
 //! ```
 //!
 //! The run id is `<unix-seconds>-<pid>` — unique enough for a single
@@ -77,6 +77,20 @@ pub fn env_threads() -> u64 {
         .unwrap_or(1)
 }
 
+/// The instruction set the dispatched lane kernels run on: `"avx2"` on an
+/// x86-64 host with AVX2, else `"baseline"` — detected the same way as the
+/// dispatch in `snapea_tensor::lane` (a tensor test keeps the two equal),
+/// duplicated here because obs sits below the tensor crate. Recorded in
+/// every manifest and `BENCH_*.json` header so numbers from hosts with
+/// different lane widths stay distinguishable.
+pub fn lane_isa() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        return "avx2";
+    }
+    "baseline"
+}
+
 /// Starts a run named after the current time and pid under `results_root`
 /// (conventionally `repro-results/`), installing a [`FileSink`] for
 /// `events.jsonl`. Returns the handle, or `None` when the directory or the
@@ -143,6 +157,9 @@ impl RunHandle {
         if !self.fields.iter().any(|(k, _)| k == "threads") {
             pairs.push(("threads".to_string(), Json::U64(env_threads())));
         }
+        if !self.fields.iter().any(|(k, _)| k == "lane_isa") {
+            pairs.push(("lane_isa".to_string(), Json::from(lane_isa())));
+        }
         pairs.extend(self.fields);
         pairs.push(("metrics".to_string(), metrics::registry().snapshot()));
         let manifest = Json::Obj(pairs);
@@ -199,6 +216,11 @@ mod tests {
         assert!(
             manifest.get("threads").and_then(Json::as_u64).unwrap_or(0) >= 1,
             "manifest records the thread count"
+        );
+        assert_eq!(
+            manifest.get("lane_isa").and_then(Json::as_str),
+            Some(lane_isa()),
+            "manifest records the lane instruction set"
         );
         let exps = manifest
             .get("experiments")

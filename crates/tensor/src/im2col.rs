@@ -9,6 +9,7 @@
 //! reordered weight over the row it selects (`snapea::exec`).
 
 use crate::{Shape2, Tensor2, Tensor4};
+use std::ops::Range;
 
 /// Geometry of a 2-D convolution: kernel size, stride and zero padding.
 #[derive(
@@ -45,6 +46,64 @@ impl ConvGeom {
     pub fn out_w(&self, w: usize) -> usize {
         (w + 2 * self.pad).saturating_sub(self.kw) / self.stride + 1
     }
+
+    /// The outputs whose tap `(ky, kx)` lands inside an `h × w` input: the
+    /// rows `oy` and columns `ox` with `0 <= oy*stride + ky - pad < h` and
+    /// `0 <= ox*stride + kx - pad < w`, clamped to the output extent. Every
+    /// other output reads padding at this tap. Either range may be empty.
+    fn tap_ranges(&self, ky: usize, kx: usize, h: usize, w: usize) -> (Range<usize>, Range<usize>) {
+        (
+            tap_range(ky, self.pad, self.stride, h, self.out_h(h)),
+            tap_range(kx, self.pad, self.stride, w, self.out_w(w)),
+        )
+    }
+}
+
+/// The outputs `o < out` with `0 <= o*stride + k - pad < len`.
+fn tap_range(k: usize, pad: usize, stride: usize, len: usize, out: usize) -> Range<usize> {
+    let lo = pad.saturating_sub(k).div_ceil(stride);
+    // o*stride + k - pad < len  <=>  o*stride < len + pad - k.
+    let hi = (len + pad)
+        .checked_sub(k)
+        .map_or(0, |span| span.div_ceil(stride))
+        .min(out);
+    lo.min(hi)..hi
+}
+
+/// Calls `f(patch, input, len)` for every run of in-bounds taps, visiting
+/// channel, `ky`, `kx`, then `oy` in ascending order: the `len` patch
+/// entries `patch..patch + len` (patch row `r` starting at `r * ld`) pair
+/// with the input elements `input, input + stride, …` of a flat
+/// `[c × h × w]` item. Entries no run covers are padding taps.
+fn tap_runs(
+    c: usize,
+    h: usize,
+    w: usize,
+    geom: ConvGeom,
+    ld: usize,
+    mut f: impl FnMut(usize, usize, usize),
+) {
+    let ow = geom.out_w(w);
+    for ci in 0..c {
+        for ky in 0..geom.kh {
+            for kx in 0..geom.kw {
+                let row = (ci * geom.kh + ky) * geom.kw + kx;
+                let (oys, oxs) = geom.tap_ranges(ky, kx, h, w);
+                if oxs.is_empty() {
+                    continue;
+                }
+                let ix = oxs.start * geom.stride + kx - geom.pad;
+                for oy in oys {
+                    let iy = oy * geom.stride + ky - geom.pad;
+                    f(
+                        row * ld + oy * ow + oxs.start,
+                        (ci * h + iy) * w + ix,
+                        oxs.len(),
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// Expands batch item `n` of `input` into the im2col patch matrix of shape
@@ -71,34 +130,44 @@ pub fn im2col(input: &Tensor4, n: usize, geom: ConvGeom) -> Tensor2 {
 /// # Panics
 ///
 /// Panics if `n` is out of bounds or `out` has the wrong length.
-// lint:allow(P2) rows/cols derive from the asserted buffer length; iy/ix are bounds-checked before use
 pub fn im2col_into(input: &Tensor4, n: usize, geom: ConvGeom, out: &mut [f32]) {
     let s = input.shape();
-    let (oh, ow) = (geom.out_h(s.h), geom.out_w(s.w));
-    let rows = s.c * geom.kh * geom.kw;
-    let cols = oh * ow;
-    assert_eq!(out.len(), rows * cols, "im2col_into: buffer length");
-    for c in 0..s.c {
-        for ky in 0..geom.kh {
-            for kx in 0..geom.kw {
-                let row = (c * geom.kh + ky) * geom.kw + kx;
-                let dst = &mut out[row * cols..(row + 1) * cols];
-                for oy in 0..oh {
-                    let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
-                    if iy < 0 || iy >= s.h as isize {
-                        continue;
-                    }
-                    for ox in 0..ow {
-                        let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
-                        if ix < 0 || ix >= s.w as isize {
-                            continue;
-                        }
-                        dst[oy * ow + ox] = input[(n, c, iy as usize, ix as usize)];
-                    }
-                }
+    let cols = geom.out_h(s.h) * geom.out_w(s.w);
+    assert_eq!(
+        out.len(),
+        s.c * geom.kh * geom.kw * cols,
+        "im2col_into: buffer length"
+    );
+    im2col_strided_into(input, n, geom, out, cols);
+}
+
+/// [`im2col_into`] with patch row `r` at `out[r * ld..]` instead of
+/// `out[r * cols..]`, so several images can be lowered side by side into
+/// one wider matrix. Entries between rows and padding taps are left
+/// untouched; the buffer must arrive zeroed.
+///
+/// # Panics
+///
+/// Panics if `n` is out of bounds, `ld` is less than `out_h*out_w`, or
+/// `out` ends before the last row does.
+pub fn im2col_strided_into(input: &Tensor4, n: usize, geom: ConvGeom, out: &mut [f32], ld: usize) {
+    let s = input.shape();
+    let (rows, cols) = (s.c * geom.kh * geom.kw, geom.out_h(s.h) * geom.out_w(s.w));
+    assert!(
+        ld >= cols && (rows == 0 || out.len() >= (rows - 1) * ld + cols),
+        "im2col_strided_into: buffer length"
+    );
+    let item = input.item(n);
+    tap_runs(s.c, s.h, s.w, geom, ld, |patch, at, len| {
+        let dst = &mut out[patch..patch + len];
+        if geom.stride == 1 {
+            dst.copy_from_slice(&item[at..at + len]);
+        } else {
+            for (d, &v) in dst.iter_mut().zip(item[at..].iter().step_by(geom.stride)) {
+                *d = v;
             }
         }
-    }
+    });
 }
 
 /// Scatters a patch-matrix gradient (shape `[c_in*kh*kw, out_h*out_w]`) back
@@ -141,12 +210,12 @@ pub fn col2im_item(
 
 /// [`col2im_item`] over a raw flat `[c*kh*kw, out_h*out_w]` row-major patch
 /// matrix — the allocation-free form used by the scratch-reuse convolution
-/// backward pass.
+/// backward pass. Entries accumulate in channel, `ky`, `kx`, `oy`, `ox`
+/// order, skipping padding taps.
 ///
 /// # Panics
 ///
 /// Panics if either slice has the wrong length for `(c, h, w, geom)`.
-// lint:allow(P2) both slice lengths are asserted above the loops; iy/ix are bounds-checked before use
 pub fn col2im_item_slice(
     cols: &[f32],
     grad_item: &mut [f32],
@@ -155,35 +224,25 @@ pub fn col2im_item_slice(
     w: usize,
     geom: ConvGeom,
 ) {
-    let (oh, ow) = (geom.out_h(h), geom.out_w(w));
-    let ocols = oh * ow;
+    let ocols = geom.out_h(h) * geom.out_w(w);
     assert_eq!(grad_item.len(), c * h * w, "col2im: item slice length");
     assert_eq!(
         cols.len(),
         c * geom.kh * geom.kw * ocols,
         "col2im: patch matrix length mismatch"
     );
-    for ci in 0..c {
-        for ky in 0..geom.kh {
-            for kx in 0..geom.kw {
-                let row = (ci * geom.kh + ky) * geom.kw + kx;
-                let src = &cols[row * ocols..(row + 1) * ocols];
-                for oy in 0..oh {
-                    let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    for ox in 0..ow {
-                        let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        grad_item[(ci * h + iy as usize) * w + ix as usize] += src[oy * ow + ox];
-                    }
-                }
+    tap_runs(c, h, w, geom, ocols, |patch, at, len| {
+        let src = &cols[patch..patch + len];
+        if geom.stride == 1 {
+            for (g, &v) in grad_item[at..at + len].iter_mut().zip(src) {
+                *g += v;
+            }
+        } else {
+            for (g, &v) in grad_item[at..].iter_mut().step_by(geom.stride).zip(src) {
+                *g += v;
             }
         }
-    }
+    });
 }
 
 #[cfg(test)]

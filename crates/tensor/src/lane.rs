@@ -8,6 +8,19 @@
 //! the `#[inline(never)]` kernels below — check the asm, not just the
 //! timing).
 //!
+//! # Runtime dispatch
+//!
+//! The kernels on the inference hot path ([`lane_axpy8`],
+//! [`lane_broadcast`], [`lane_collapse8`], [`lane_masked_walk`],
+//! [`lane_predict`]) each have one source body, compiled twice: for the
+//! baseline target, where an [`f32x8`] op is two 4-wide SSE halves on
+//! x86-64, and, on x86-64 only, with `#[target_feature(enable = "avx2")]`,
+//! where it is one 256-bit op. A kernel runs the AVX2 instantiation when
+//! `is_x86_feature_detected!("avx2")` finds AVX2 at run time; nothing else
+//! selects it. Only `avx2` is enabled, never `fma`: Rust does not contract
+//! `a * b + c`, so the 256-bit `vmulps` / `vaddps` round exactly as the SSE
+//! halves do and both instantiations produce the same bits.
+//!
 //! # The pinned lane-tree reduction order
 //!
 //! Splitting a dot product across eight lanes changes float accumulation
@@ -50,6 +63,82 @@ pub const fn lane_prefix_len(stop1: usize) -> usize {
 #[inline]
 pub const fn packed_len(len: usize) -> usize {
     len.div_ceil(LANES) * LANES
+}
+
+/// An instruction set the dispatched kernels are instantiated for (see
+/// the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Isa {
+    /// The build target's own instruction set (SSE2 on x86-64).
+    Baseline,
+    /// 256-bit AVX2 (x86-64 hosts that have it).
+    Avx2,
+}
+
+impl Isa {
+    /// The instantiation the dispatched kernels run on this host.
+    #[inline]
+    fn host() -> Isa {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Isa::Avx2;
+        }
+        Isa::Baseline
+    }
+}
+
+/// Runs `kernel`'s instantiation for `isa`, falling back to the baseline
+/// when `isa` is not [`Isa::Avx2`] or the host lacks AVX2. This is the one
+/// place that calls a `#[target_feature]` function.
+macro_rules! on_isa {
+    ($isa:expr, $kernel:ident($($arg:expr),* $(,)?)) => {
+        match $isa {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the avx2 instantiation requires only a CPU with AVX2,
+            // and this arm runs only when `Isa::host()` detected it.
+            // lint:allow(S1) the one target-feature call: the arm's guard runs is_x86_feature_detected!("avx2") before it, so the instruction set the callee was compiled for is present
+            #[allow(unsafe_code)]
+            Isa::Avx2 if Isa::host() == Isa::Avx2 => unsafe { $kernel::avx2($($arg),*) },
+            _ => $kernel::baseline($($arg),*),
+        }
+    };
+}
+
+/// Declares a dispatched kernel: the public `$name`, which carries the
+/// given docs and dispatches through [`on_isa!`], and a module `$name`
+/// holding its two instantiations, `$name::baseline` and `$name::avx2`.
+/// Each is an `#[inline(never)]` call of the one `#[inline(always)]` body
+/// `$body`, so `scripts/asm_check.sh` finds both as symbols.
+macro_rules! lane_kernel {
+    (
+        $(#[$attr:meta])*
+        pub fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? = $body:ident;
+    ) => {
+        $(#[$attr])*
+        #[allow(clippy::too_many_arguments)]
+        #[inline]
+        pub fn $name($($arg: $ty),*) $(-> $ret)? {
+            on_isa!(Isa::host(), $name($($arg),*))
+        }
+
+        mod $name {
+            use super::*;
+
+            #[allow(clippy::too_many_arguments)]
+            #[inline(never)]
+            pub(super) fn baseline($($arg: $ty),*) $(-> $ret)? {
+                $body($($arg),*)
+            }
+
+            #[cfg(target_arch = "x86_64")]
+            #[allow(clippy::too_many_arguments)]
+            #[target_feature(enable = "avx2")]
+            #[inline(never)]
+            pub(super) fn avx2($($arg: $ty),*) $(-> $ret)? {
+                $body($($arg),*)
+            }
+        }
+    };
 }
 
 /// The lane-major packed copy of a reordered weight vector: the walk-order
@@ -210,19 +299,21 @@ impl std::ops::Mul for i32x8 {
     }
 }
 
-/// The GEMM microkernel: `out[j] += a[0]*b[0][j] + … + a[7]*b[7][j]` for
-/// every `j`, each output element accumulating its eight products in
-/// ascending `q` order — bit-identical to the scalar unrolled form, with
-/// the `j` dimension carried in [`f32x8`] chunks.
-///
-/// `#[inline(never)]` keeps a standalone symbol for `scripts/asm_check.sh`;
-/// the internal loop over `out` amortises the call.
-///
-/// # Panics
-///
-/// Panics if any `b[q]` is shorter than `out`.
-#[inline(never)]
-pub fn lane_axpy8(out: &mut [f32], a: &[f32; LANES], b: [&[f32]; LANES]) {
+lane_kernel! {
+    /// The GEMM microkernel: `out[j] += a[0]*b[0][j] + … + a[7]*b[7][j]` for
+    /// every `j`, each output element accumulating its eight products in
+    /// ascending `q` order — bit-identical to the scalar unrolled form, with
+    /// the `j` dimension carried in [`f32x8`] chunks. Dispatched (module
+    /// docs); the internal loop over `out` amortises the call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any `b[q]` is shorter than `out`.
+    pub fn lane_axpy8(out: &mut [f32], a: &[f32; LANES], b: [&[f32]; LANES]) = axpy8;
+}
+
+#[inline(always)]
+fn axpy8(out: &mut [f32], a: &[f32; LANES], b: [&[f32]; LANES]) {
     let n = out.len();
     for bq in &b {
         assert!(bq.len() >= n, "lane_axpy8 row shorter than out");
@@ -346,31 +437,35 @@ pub fn lane_q16_span(
     }
 }
 
-/// Broadcast MACs of a tap-major window tile (the executor's window-major
-/// walk): walk position `p` multiplies the contiguous row
-/// `x[order[p] * ld..][..width]` (one tap of every window in the tile) by
-/// the broadcast weight `weights[p]` and adds it into plane `p % planes`,
-/// where `width = dst.len() / planes`. With eight planes this is the pinned
-/// lane region of every window at once (window `j`'s lane `l` lives at
-/// `dst[l * width + j]`, fed in ascending `p`); with one plane it is the
-/// sequential remainder. Each product is `value * weight` added to the
-/// running sum, the same operands in the same order as [`lane_dot`] and
-/// the per-window walk.
-///
-/// # Panics
-///
-/// Panics if `planes` is zero or does not divide `dst.len()`, the width is
-/// not a multiple of [`LANES`], `order` and `weights` differ in length, or
-/// a row runs past the end of `x`.
-#[inline(never)]
-pub fn lane_broadcast(
-    dst: &mut [f32],
-    planes: usize,
-    x: &[f32],
-    ld: usize,
-    order: &[u32],
-    weights: &[f32],
-) {
+lane_kernel! {
+    /// Broadcast MACs of a tap-major window tile (the executor's window-major
+    /// walk): walk position `p` multiplies the contiguous row
+    /// `x[order[p] * ld..][..width]` (one tap of every window in the tile) by
+    /// the broadcast weight `weights[p]` and adds it into plane `p % planes`,
+    /// where `width = dst.len() / planes`. With eight planes this is the pinned
+    /// lane region of every window at once (window `j`'s lane `l` lives at
+    /// `dst[l * width + j]`, fed in ascending `p`); with one plane it is the
+    /// sequential remainder. Each product is `value * weight` added to the
+    /// running sum, the same operands in the same order as [`lane_dot`] and
+    /// the per-window walk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `planes` is zero or does not divide `dst.len()`, the width is
+    /// not a multiple of [`LANES`], `order` and `weights` differ in length, or
+    /// a row runs past the end of `x`.
+    pub fn lane_broadcast(
+        dst: &mut [f32],
+        planes: usize,
+        x: &[f32],
+        ld: usize,
+        order: &[u32],
+        weights: &[f32],
+    ) = broadcast;
+}
+
+#[inline(always)]
+fn broadcast(dst: &mut [f32], planes: usize, x: &[f32], ld: usize, order: &[u32], weights: &[f32]) {
     assert!(
         planes > 0 && dst.len().is_multiple_of(planes),
         "lane_broadcast plane split"
@@ -391,16 +486,20 @@ pub fn lane_broadcast(
     }
 }
 
-/// Collapses eight lane planes (`planes[l * width + j]`, `width =
-/// acc.len()`) through the pinned [`tree8`] and adds each sum to `bias`:
-/// `acc[j] = bias + tree8(lanes of window j)`.
-///
-/// # Panics
-///
-/// Panics if `planes.len() != LANES * acc.len()` or the width is not a
-/// multiple of [`LANES`].
-#[inline(never)]
-pub fn lane_collapse8(acc: &mut [f32], planes: &[f32], bias: f32) {
+lane_kernel! {
+    /// Collapses eight lane planes (`planes[l * width + j]`, `width =
+    /// acc.len()`) through the pinned [`tree8`] and adds each sum to `bias`:
+    /// `acc[j] = bias + tree8(lanes of window j)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `planes.len() != LANES * acc.len()` or the width is not a
+    /// multiple of [`LANES`].
+    pub fn lane_collapse8(acc: &mut [f32], planes: &[f32], bias: f32) = collapse8;
+}
+
+#[inline(always)]
+fn collapse8(acc: &mut [f32], planes: &[f32], bias: f32) {
     let width = acc.len();
     assert_eq!(planes.len(), LANES * width, "lane_collapse8 planes");
     assert_eq!(width % LANES, 0, "lane_collapse8 width");
@@ -413,27 +512,40 @@ pub fn lane_collapse8(acc: &mut [f32], planes: &[f32], bias: f32) {
     }
 }
 
-/// Masked broadcast sweep of a probed stretch of walk positions. `macs[j]`
-/// counts the MACs lane `j` has executed in the probed region, and a lane
-/// is live while that count equals the positions walked so far (`walked`
-/// at entry, plus one per position): a stopped lane falls behind and stays
-/// behind. At each position `i` (over `order`/`weights`) every live lane
-/// whose partial sum is below `floor` stops (the PAU's sign check; `floor =
-/// -inf` disables it), and every lane still live adds `x[order[i] * ld +
-/// j] * weights[i]` and counts the MAC. Stopped lanes ride along masked, as
-/// idle PE lanes do: their product is masked to `+0.0`, which leaves any
-/// partial sum other than `-0.0` bit-unchanged, so callers must not hand
-/// in `-0.0` sums. Returns `(positions walked, live lanes)`, early once no
-/// lane is live.
-///
-/// # Panics
-///
-/// Panics if `acc` and `macs` differ in length, the width is not a
-/// multiple of [`LANES`], `order` and `weights` differ in length, or a row
-/// runs past the end of `x`.
+lane_kernel! {
+    /// Masked broadcast sweep of a probed stretch of walk positions. `macs[j]`
+    /// counts the MACs lane `j` has executed in the probed region, and a lane
+    /// is live while that count equals the positions walked so far (`walked`
+    /// at entry, plus one per position): a stopped lane falls behind and stays
+    /// behind. At each position `i` (over `order`/`weights`) every live lane
+    /// whose partial sum is below `floor` stops (the PAU's sign check; `floor =
+    /// -inf` disables it), and every lane still live adds `x[order[i] * ld +
+    /// j] * weights[i]` and counts the MAC. Stopped lanes ride along masked, as
+    /// idle PE lanes do: their product is masked to `+0.0`, which leaves any
+    /// partial sum other than `-0.0` bit-unchanged, so callers must not hand
+    /// in `-0.0` sums. Returns `(positions walked, live lanes)`, early once no
+    /// lane is live.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `acc` and `macs` differ in length, the width is not a
+    /// multiple of [`LANES`], `order` and `weights` differ in length, or a row
+    /// runs past the end of `x`.
+    pub fn lane_masked_walk(
+        acc: &mut [f32],
+        macs: &mut [u32],
+        x: &[f32],
+        ld: usize,
+        order: &[u32],
+        weights: &[f32],
+        walked: u32,
+        floor: f32,
+    ) -> (usize, usize) = masked_walk;
+}
+
 #[allow(clippy::too_many_arguments)]
-#[inline(never)]
-pub fn lane_masked_walk(
+#[inline(always)]
+fn masked_walk(
     acc: &mut [f32],
     macs: &mut [u32],
     x: &[f32],
@@ -473,20 +585,33 @@ pub fn lane_masked_walk(
     (order.len(), live)
 }
 
-/// The predictive probe of a [`lane_masked_walk`] tile at one walk
-/// position, branch-free per lane: a live lane (`macs[j] == walked`) whose
-/// partial sum is below `low` stops with its sum replaced by `+0.0` (the
-/// early ReLU) and `predicted[j]` set; else one below `floor` stops with
-/// its sum kept; else it adds `row[j] * w` and counts the MAC. Returns the
-/// number of lanes still live.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or the width is not a multiple of
-/// [`LANES`].
+lane_kernel! {
+    /// The predictive probe of a [`lane_masked_walk`] tile at one walk
+    /// position, branch-free per lane: a live lane (`macs[j] == walked`) whose
+    /// partial sum is below `low` stops with its sum replaced by `+0.0` (the
+    /// early ReLU) and `predicted[j]` set; else one below `floor` stops with
+    /// its sum kept; else it adds `row[j] * w` and counts the MAC. Returns the
+    /// number of lanes still live.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length or the width is not a multiple of
+    /// [`LANES`].
+    pub fn lane_predict(
+        acc: &mut [f32],
+        macs: &mut [u32],
+        predicted: &mut [u32],
+        row: &[f32],
+        w: f32,
+        walked: u32,
+        low: f32,
+        floor: f32,
+    ) -> usize = predict;
+}
+
 #[allow(clippy::too_many_arguments)]
-#[inline(never)]
-pub fn lane_predict(
+#[inline(always)]
+fn predict(
     acc: &mut [f32],
     macs: &mut [u32],
     predicted: &mut [u32],
@@ -526,11 +651,13 @@ pub fn lane_predict(
 }
 
 /// Ends one eight-lane chunk of a broadcast kernel. LLVM lowers each
-/// chunk's elementwise loop to two packed SSE ops; without this barrier its
-/// loop vectorizer instead re-vectorizes *across* chunks, interleaving
-/// eight-float chunks through scalar loads and shuffles (measured ~3×
-/// slower), or vectorizes a flat loop with a scalar remainder that the
-/// asm gate rejects. `black_box(())` compiles to nothing.
+/// chunk's elementwise loop to two packed SSE ops in the baseline
+/// instantiation and to one 256-bit op in the AVX2 one; without
+/// this barrier its loop vectorizer instead re-vectorizes *across* chunks,
+/// interleaving eight-float chunks through scalar loads and shuffles
+/// (measured ~3× slower), or vectorizes a flat loop with a scalar
+/// remainder that the asm gate rejects. `black_box(())` compiles to
+/// nothing.
 #[inline(always)]
 fn lane_chunk_boundary() {
     std::hint::black_box(());
@@ -645,6 +772,16 @@ mod tests {
                 assert_eq!(g.to_bits(), w.to_bits(), "n {n}");
             }
         }
+    }
+
+    #[test]
+    fn host_isa_matches_the_manifest_record() {
+        let want = if Isa::host() == Isa::Avx2 {
+            "avx2"
+        } else {
+            "baseline"
+        };
+        assert_eq!(snapea_obs::run::lane_isa(), want);
     }
 
     #[test]
@@ -830,6 +967,180 @@ mod tests {
             for (g, w) in out.iter().zip(&want) {
                 prop_assert_eq!(g.to_bits(), w.to_bits());
             }
+        }
+    }
+
+    /// `lcg` values with every fourth replaced by a special operand:
+    /// `±0.0`, `±inf` or NaN.
+    fn specials(seed: u64, n: usize) -> Vec<f32> {
+        const SPECIAL: [f32; 5] = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        lcg(seed, n)
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| {
+                if i % 4 == (seed % 4) as usize {
+                    SPECIAL[(i / 4 + seed as usize) % SPECIAL.len()]
+                } else {
+                    v
+                }
+            })
+            .collect()
+    }
+
+    /// Whether the AVX2 instantiation can run here; prints a note when the
+    /// identity tests below have nothing to compare.
+    fn has_avx2(test: &str) -> bool {
+        let ok = Isa::host() == Isa::Avx2;
+        if !ok {
+            eprintln!("note: {test} skipped: this host runs only the baseline lane kernels");
+        }
+        ok
+    }
+
+    /// `to_bits` of each value, every NaN as one pattern. When two
+    /// different NaNs meet in an add (here `NAN` and the `-NAN` that
+    /// `inf - inf` makes), x86 returns the first operand, and LLVM may
+    /// commute the add differently in each instantiation; Rust leaves the
+    /// result's NaN bits unspecified. Every other bit must match.
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter()
+            .map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits())
+            .collect()
+    }
+
+    // Baseline vs AVX2 instantiation of each dispatched kernel, on the same
+    // inputs, compared bit for bit (NaN sign aside, see `bits`). Widths run
+    // 8..=128 in whole chunks (the axpy also over tails), walks start at
+    // nonzero `walked` offsets, and every operand stream mixes in signed
+    // zeros, infinities and NaN.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn prop_axpy8_instantiations_are_bit_identical(seed in 0u64..10_000, n in 0usize..137) {
+            if !has_avx2("prop_axpy8_instantiations_are_bit_identical") {
+                return Ok(());
+            }
+            let a: [f32; LANES] = specials(seed + 1, LANES).try_into().unwrap();
+            let rows: Vec<Vec<f32>> = (0..LANES).map(|q| specials(seed + 2 + q as u64, n)).collect();
+            let b: [&[f32]; LANES] = std::array::from_fn(|q| rows[q].as_slice());
+            let mut base = specials(seed + 11, n);
+            let mut wide = base.clone();
+            on_isa!(Isa::Baseline, lane_axpy8(&mut base, &a, b));
+            on_isa!(Isa::Avx2, lane_axpy8(&mut wide, &a, b));
+            prop_assert_eq!(bits(&base), bits(&wide));
+        }
+
+        #[test]
+        fn prop_broadcast_instantiations_are_bit_identical(
+            seed in 0u64..10_000,
+            chunks in 1usize..17,
+            rows in 0usize..20,
+            eight in 0usize..2,
+        ) {
+            if !has_avx2("prop_broadcast_instantiations_are_bit_identical") {
+                return Ok(());
+            }
+            let planes = if eight == 1 { LANES } else { 1 };
+            let width = chunks * LANES;
+            let ld = width + (seed % 3) as usize;
+            let x = specials(seed + 20, rows.max(1) * ld);
+            let w = specials(seed + 21, rows);
+            let order: Vec<u32> = (0..rows as u32).map(|p| (p * 7 + 1) % rows as u32).collect();
+            let mut base = specials(seed + 22, planes * width);
+            let mut wide = base.clone();
+            on_isa!(Isa::Baseline, lane_broadcast(&mut base, planes, &x, ld, &order, &w));
+            on_isa!(Isa::Avx2, lane_broadcast(&mut wide, planes, &x, ld, &order, &w));
+            prop_assert_eq!(bits(&base), bits(&wide));
+        }
+
+        #[test]
+        fn prop_collapse8_instantiations_are_bit_identical(
+            seed in 0u64..10_000,
+            chunks in 1usize..17,
+        ) {
+            if !has_avx2("prop_collapse8_instantiations_are_bit_identical") {
+                return Ok(());
+            }
+            let width = chunks * LANES;
+            let planes = specials(seed + 30, LANES * width);
+            let bias = specials(seed + 31, 8)[(seed % 8) as usize];
+            let mut base = vec![0.0f32; width];
+            let mut wide = vec![1.0f32; width];
+            on_isa!(Isa::Baseline, lane_collapse8(&mut base, &planes, bias));
+            on_isa!(Isa::Avx2, lane_collapse8(&mut wide, &planes, bias));
+            prop_assert_eq!(bits(&base), bits(&wide));
+        }
+
+        #[test]
+        fn prop_masked_walk_instantiations_are_bit_identical(
+            seed in 0u64..10_000,
+            chunks in 1usize..17,
+            rows in 0usize..20,
+            walked in 0u32..5,
+            floor_ix in 0usize..3,
+        ) {
+            if !has_avx2("prop_masked_walk_instantiations_are_bit_identical") {
+                return Ok(());
+            }
+            let width = chunks * LANES;
+            let x = specials(seed + 40, rows.max(1) * width);
+            let w = specials(seed + 41, rows);
+            let order: Vec<u32> = (0..rows as u32).rev().collect();
+            let floor = [f32::NEG_INFINITY, 0.0, -0.25][floor_ix];
+            let acc = specials(seed + 42, width);
+            // Some lanes start behind (already stopped), some ahead.
+            let macs: Vec<u32> = (0..width)
+                .map(|j| walked.wrapping_add([0, 0, u32::MAX, 1][(j + seed as usize) % 4]))
+                .collect();
+            let (mut base_acc, mut base_macs) = (acc.clone(), macs.clone());
+            let (mut wide_acc, mut wide_macs) = (acc, macs);
+            let base = on_isa!(
+                Isa::Baseline,
+                lane_masked_walk(&mut base_acc, &mut base_macs, &x, width, &order, &w, walked, floor)
+            );
+            let wide = on_isa!(
+                Isa::Avx2,
+                lane_masked_walk(&mut wide_acc, &mut wide_macs, &x, width, &order, &w, walked, floor)
+            );
+            prop_assert_eq!(base, wide);
+            prop_assert_eq!(bits(&base_acc), bits(&wide_acc));
+            prop_assert_eq!(base_macs, wide_macs);
+        }
+
+        #[test]
+        fn prop_predict_instantiations_are_bit_identical(
+            seed in 0u64..10_000,
+            chunks in 1usize..17,
+            walked in 0u32..5,
+            low_ix in 0usize..3,
+        ) {
+            if !has_avx2("prop_predict_instantiations_are_bit_identical") {
+                return Ok(());
+            }
+            let width = chunks * LANES;
+            let row = specials(seed + 50, width);
+            let w = specials(seed + 51, 4)[(seed % 4) as usize];
+            let (low, floor) = [(f32::NEG_INFINITY, f32::NEG_INFINITY), (-0.1, 0.0), (0.2, -0.3)][low_ix];
+            let acc = specials(seed + 52, width);
+            let macs: Vec<u32> = (0..width)
+                .map(|j| walked.wrapping_add([0, 0, u32::MAX, 1][(j + seed as usize) % 4]))
+                .collect();
+            let predicted: Vec<u32> = (0..width).map(|j| if j % 5 == 0 { u32::MAX } else { 0 }).collect();
+            let (mut base_acc, mut base_macs, mut base_pred) = (acc.clone(), macs.clone(), predicted.clone());
+            let (mut wide_acc, mut wide_macs, mut wide_pred) = (acc, macs, predicted);
+            let base = on_isa!(
+                Isa::Baseline,
+                lane_predict(&mut base_acc, &mut base_macs, &mut base_pred, &row, w, walked, low, floor)
+            );
+            let wide = on_isa!(
+                Isa::Avx2,
+                lane_predict(&mut wide_acc, &mut wide_macs, &mut wide_pred, &row, w, walked, low, floor)
+            );
+            prop_assert_eq!(base, wide);
+            prop_assert_eq!(bits(&base_acc), bits(&wide_acc));
+            prop_assert_eq!(base_macs, wide_macs);
+            prop_assert_eq!(base_pred, wide_pred);
         }
     }
 }

@@ -12,7 +12,8 @@
 //!   fixed-point processing engines (Table II of the paper).
 //! * [`lane`] — the eight-wide lane layer: `f32x8`/`i32x8` wrappers, the
 //!   pinned lane-tree reduction order, and the asm-verified SIMD kernels
-//!   behind the GEMM microkernel and the executor walks.
+//!   behind the GEMM microkernel and the executor walks, dispatched at run
+//!   time to AVX2 instantiations on hosts that have it.
 //! * [`par`] — the scoped worker pool behind every parallel hot path in the
 //!   workspace (`SNAPEA_THREADS` knob; results are bit-identical for any
 //!   thread count).
@@ -33,11 +34,12 @@
 //! assert_eq!(t.shape().len(), 48);
 //! ```
 
-// `deny`, not `forbid`: the persistent worker pool (`par::pool`) carries the
-// crate's only unsafe sites — a small audited lifetime-erasure core, each
-// site annotated with `#[allow(unsafe_code)]` plus a reasoned
-// `lint:allow(S1)` justification checked by snapea-lint. Everything else in
-// the crate remains unsafe-free.
+// `deny`, not `forbid`: the persistent worker pool (`par::pool`) carries a
+// small audited lifetime-erasure core, and the lane kernels' ISA dispatch
+// (`lane::on_isa!`) the one call of a `#[target_feature]` instantiation —
+// the crate's only unsafe sites, each annotated with `#[allow(unsafe_code)]`
+// plus a reasoned `lint:allow(S1)` justification checked by snapea-lint.
+// Everything else in the crate remains unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -49,9 +49,9 @@
 //! > return — not even by unwinding — until every joined worker has left
 //! > and every task has completed.
 //!
-//! The tensor crate is `#![deny(unsafe_code)]`; these are its only unsafe
-//! sites, each carrying a `lint:allow(S1)` justification checked by
-//! `snapea-lint`.
+//! The tensor crate is `#![deny(unsafe_code)]`; these and the lane
+//! kernels' ISA dispatch (`lane::on_isa!`) are its only unsafe sites, each
+//! carrying a `lint:allow(S1)` justification checked by `snapea-lint`.
 //!
 //! ## Chunk-size floors
 //!
