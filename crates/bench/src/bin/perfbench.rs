@@ -8,7 +8,7 @@
 //! ```
 //!
 //! Times the parallelised hot paths — conv forward/backward (full batch and
-//! an `n=1` serving shape), executor exact/predictive/q16, and one optimizer
+//! an `n=1` serving shape), executor exact/predictive, and one optimizer
 //! profiling pass — and writes a **scaling curve** per path into
 //! `BENCH_parallel.json` (schema 2): serial wall time (min-of-reps after
 //! warmup) plus one `{threads, ms, speedup, bit_identical}` point per thread
@@ -28,14 +28,16 @@
 //! cannot be meaningful.
 //!
 //! A second report, `BENCH_kernels.json` (`--kernels-out`), benchmarks the
-//! **single-core kernel engine** at 1 thread: each entry warms up once,
+//! **single-core kernel engine** at 1 thread: each entry warms up once and
 //! reports the minimum of k reps (the right estimator for a fixed
-//! single-thread workload under external interference), times the frozen
-//! pre-plan implementation (`snapea::exec::baseline`,
-//! `profile_layer_kernels_baseline`, scalar GEMM loops) against the current
-//! kernels (resolved-tap window plans, batched walks, the k-blocked axpy
-//! microkernel) and asserts the results are bit-identical. These are the
-//! speedups that hold on a single core, independent of the pool.
+//! single-thread workload under external interference) of the current
+//! kernel. The conv-shaped rows (executor exact/predictive, optimizer
+//! profiling) also time the dense `Conv2d::forward` on the same input
+//! (`dense_ms`, `vs_dense_x`). Every row checks its bits against an
+//! independent reference computed once, untimed: the `snapea-oracle` walk
+//! for the executor and profiling rows, a scalar loop in the pinned order
+//! for the lane and GEMM rows. Changes over time come from `perf-diff`
+//! against the committed report.
 //!
 //! `--kernels-only` runs and writes *only* the kernels report: the scaling
 //! curves, strict gate, and GEMM comparison are skipped, and `--out` is not
@@ -43,16 +45,14 @@
 //!
 //! Usually invoked through `scripts/bench.sh`.
 
-use snapea::exec::{
-    baseline, execute_conv, execute_conv_q16, execute_conv_stats, ExecResult, LayerConfig,
-};
-use snapea::optimizer::profiling::{profile_layer_kernels, profile_layer_kernels_baseline};
-use snapea::KernelParams;
+use snapea::exec::{execute_conv, execute_conv_stats, ExecResult, LayerConfig};
+use snapea::optimizer::profiling::{profile_layer_kernels, KernelTable};
+use snapea::params::{KernelMode, LayerParams};
 use snapea_nn::ops::Conv2d;
 use snapea_obs::Json;
+use snapea_oracle::{harness, reference};
 use snapea_tensor::im2col::ConvGeom;
 use snapea_tensor::lane::{lane_axpy8, lane_dot, pinned_dot_ref, LANES};
-use snapea_tensor::q16::Q16Format;
 use snapea_tensor::{init, par, Shape2, Shape4, Tensor2, Tensor4};
 use std::time::Instant;
 
@@ -247,55 +247,113 @@ fn bench_scaling<R>(
     ])
 }
 
-/// Minimum wall time of `reps` runs of `f` after one untimed warmup, in
-/// milliseconds, with the last result (so curve points can be compared
-/// against the serial output).
+/// Wall time of one call of `f`, in milliseconds, with its result.
 #[allow(clippy::disallowed_methods)] // benchmark timing is this binary's job
-fn time_min<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
-    let mut out = f();
-    let mut best = f64::MAX;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        out = f();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    (best, out)
+fn time_once<R>(f: impl FnOnce() -> R) -> (f64, R) {
+    let t0 = Instant::now();
+    let out = f();
+    (t0.elapsed().as_secs_f64() * 1e3, out)
 }
 
-/// Times a frozen-baseline implementation against the current kernel at
-/// **1 thread**, checks bit-identity via `same`, and returns the JSON record
-/// for the kernels report.
+/// Times the current kernel `run` at **1 thread** and, for conv-shaped
+/// rows, the dense forward pass `dense` on the same input; checks the
+/// kernel's output with `matches_reference`, which computes an
+/// independent reference once, untimed. Returns the JSON record for the
+/// kernels report.
+///
+/// Each side runs once untimed, then `reps` rounds time the kernel and
+/// the dense pass back to back, and each side reports its minimum.
+/// Interleaving puts both sides in the same machine phases, so
+/// `vs_dense_x` does not carry a phase that hit only one of them.
 fn bench_kernel<R>(
     name: &str,
     detail: &str,
     reps: usize,
-    mut base: impl FnMut() -> R,
-    mut new: impl FnMut() -> R,
-    same: impl Fn(&R, &R) -> bool,
+    mut run: impl FnMut() -> R,
+    dense: Option<&dyn Fn() -> Tensor4>,
+    matches_reference: impl FnOnce(&R) -> bool,
 ) -> Json {
     par::set_threads(1);
-    let (baseline_ms, base_out) = time_min(reps, &mut base);
-    let (kernel_ms, new_out) = time_min(reps, &mut new);
-    let identical = same(&base_out, &new_out);
-    let speedup = baseline_ms / kernel_ms;
-    println!(
-        "kernel {name:<22} {detail:<34} before {baseline_ms:8.2} ms   after {kernel_ms:8.2} ms   \
-         speedup {speedup:4.2}x   bit-identical: {identical}"
-    );
-    assert!(identical, "{name}: optimised kernel deviates from baseline");
-    Json::Obj(vec![
+    let mut out = run();
+    if let Some(d) = dense {
+        d();
+    }
+    let (mut kernel_ms, mut dense_ms) = (f64::MAX, f64::MAX);
+    for _ in 0..reps {
+        let (ms, r) = time_once(&mut run);
+        (kernel_ms, out) = (kernel_ms.min(ms), r);
+        if let Some(d) = dense {
+            dense_ms = dense_ms.min(time_once(d).0);
+        }
+    }
+    let mut row = vec![
         ("name".to_string(), name.into()),
         ("detail".to_string(), detail.into()),
-        ("baseline_ms".to_string(), baseline_ms.into()),
         ("kernel_ms".to_string(), kernel_ms.into()),
-        ("speedup".to_string(), speedup.into()),
-        ("bit_identical".to_string(), identical.into()),
-    ])
+    ];
+    let mut vs_dense = String::new();
+    if dense.is_some() {
+        let x = kernel_ms / dense_ms;
+        vs_dense = format!("   dense {dense_ms:8.2} ms   {x:4.2}x dense");
+        row.push(("dense_ms".to_string(), dense_ms.into()));
+        row.push(("vs_dense_x".to_string(), x.into()));
+    }
+    let identical = matches_reference(&out);
+    println!(
+        "kernel {name:<22} {detail:<34} {kernel_ms:8.2} ms{vs_dense}   bit-identical: {identical}"
+    );
+    assert!(identical, "{name}: kernel deviates from its reference");
+    row.push(("bit_identical".to_string(), identical.into()));
+    Json::Obj(row)
 }
 
-/// The pre-microkernel scalar GEMM loop (`out[i,j] += lhs[i,p] * rhs[p,j]`,
-/// ascending `p` per element — the same accumulation order as the `axpy`
-/// path, so results must match bitwise).
+/// Whether an executor run matches the oracle walk of the same layer bit
+/// for bit: outputs, op counts, and `PredictionStats` — the oracle's
+/// re-derivation when `stats` is set, all-zero otherwise. The stats
+/// masses are sums of non-negative values from `+0.0`, so `==` on them is
+/// bit equality.
+fn exec_matches_oracle(
+    r: &ExecResult,
+    conv: &Conv2d,
+    input: &Tensor4,
+    params: &LayerParams,
+    stats: bool,
+) -> bool {
+    let o = reference::execute_layer(conv.weight(), conv.bias(), conv.geom(), input, params);
+    let want = if stats {
+        let windows = o.ops.len() / (input.shape().n * conv.c_out());
+        harness::oracle_stats(&o, input.shape().n, conv.c_out(), windows)
+    } else {
+        Default::default()
+    };
+    r.output
+        .iter()
+        .zip(o.output.iter())
+        .all(|(a, b)| a.to_bits() == b.to_bits())
+        && r.profile.ops_slice() == &o.ops[..]
+        && r.stats == want
+}
+
+/// Whether every profiled candidate carries the op total and surrogate
+/// error the oracle's walk of that one kernel under that mode produces.
+fn profiling_matches_oracle(tables: &[KernelTable], conv: &Conv2d, input: &Tensor4) -> bool {
+    tables.iter().enumerate().all(|(k, t)| {
+        t.candidates().iter().all(|c| {
+            let o = reference::profile_candidate(
+                conv.weight().item(k),
+                conv.bias()[k],
+                conv.geom(),
+                input,
+                c.mode,
+            );
+            c.ops == o.ops && c.surrogate_err.to_bits() == o.surrogate_err.to_bits()
+        })
+    })
+}
+
+/// Scalar reference GEMM (`out[i,j] += lhs[i,p] * rhs[p,j]`, ascending `p`
+/// per element — the same accumulation order as the `axpy` path, so
+/// results must match bitwise).
 fn matmul_scalar(lhs: &Tensor2, rhs: &Tensor2) -> Tensor2 {
     let (m, k, n) = (lhs.shape().rows, lhs.shape().cols, rhs.shape().cols);
     let mut out = Tensor2::zeros(Shape2::new(m, n));
@@ -312,7 +370,7 @@ fn matmul_scalar(lhs: &Tensor2, rhs: &Tensor2) -> Tensor2 {
     out
 }
 
-/// The pre-microkernel scalar `lhsᵀ × rhs` loop.
+/// Scalar reference `lhsᵀ × rhs` loop, in the same accumulation order.
 fn t_matmul_scalar(lhs: &Tensor2, rhs: &Tensor2) -> Tensor2 {
     let (k, m, n) = (lhs.shape().rows, lhs.shape().cols, rhs.shape().cols);
     let mut out = Tensor2::zeros(Shape2::new(m, n));
@@ -331,16 +389,13 @@ fn t_matmul_scalar(lhs: &Tensor2, rhs: &Tensor2) -> Tensor2 {
 }
 
 /// Signatures of the lane micro-kernels and their scalar references, so the
-/// bench passes can take either side as a parameter.
+/// bench passes can run either.
 type DotFn = dyn Fn(&[f32], &[f32], usize) -> f32;
 type AxpyFn = dyn Fn(&mut [f32], &[f32; LANES], [&[f32]; LANES]);
 
-/// Frozen baseline for [`lane_axpy8`]: eight separate rank-1 row updates —
-/// the pre-microkernel GEMM structure, which streams `out` through the cache
-/// once per row instead of once per block. Every output element still
-/// receives its eight products in ascending `q` order, so the result is
-/// bit-identical to the fused kernel and the bench isolates the memory
-/// traffic the eight-row fusion removes.
+/// Scalar reference for [`lane_axpy8`]: eight separate rank-1 row updates.
+/// Every output element receives its eight products in ascending `q`
+/// order, so the result is bit-identical to the fused kernel.
 fn axpy8_rowwise(out: &mut [f32], a: &[f32; LANES], b: [&[f32]; LANES]) {
     for (aq, bq) in a.iter().zip(b) {
         for (oj, &bv) in out.iter_mut().zip(bq.iter()) {
@@ -383,8 +438,8 @@ fn main() {
     // `bench_scaling`) gives every grid point the same number of visits to
     // every within-round position. 32 rounds is what min-of-rounds needs to
     // reliably catch a clean window per point on a shared container; the
-    // kernels section (which times the slow frozen baselines too) stays at a
-    // smaller count via `kernel_reps`.
+    // kernels section (which times the dense pass too) stays at a smaller
+    // count via `kernel_reps`.
     let reps = if args.smoke { 4 } else { 32 };
     let kernel_reps = if args.smoke { 3 } else { 5 };
     let avail = std::thread::available_parallelism()
@@ -413,7 +468,7 @@ fn main() {
         eprintln!(
             "perfbench: WARNING: available_parallelism is 1 — the scaling curves below \
              measure pool overhead under oversubscription, not scaling (reports carry \
-             \"degraded\": true); trust the kernels section (single-thread before/after), \
+             \"degraded\": true); trust the kernels section (single-thread, vs dense), \
              which is core-count independent"
         );
     }
@@ -432,7 +487,9 @@ fn main() {
     let serve_input =
         init::uniform4(Shape4::new(1, c_in, hw, hw), 1.0, &mut init::rng(23)).map(f32::abs);
     let exact_cfg = LayerConfig::exact(&conv);
-    let pred_cfg = LayerConfig::predictive_uniform(&conv, KernelParams::new(0.05, 4));
+    let pred_params = LayerParams::Predictive(vec![KernelMode::spec(0.05, 4); c_out]);
+    let pred_cfg = LayerConfig::from_params(&conv, &pred_params);
+    let (grid_n, quantiles) = ([1usize, 2, 4, 8], [0.25, 0.5, 0.9]);
     // Profiling scans every (kernel, N, image, window) tuple; keep the image
     // set small so the full run stays minutes-not-hours at 1 thread.
     let prof_images = if args.smoke { 1 } else { 2 };
@@ -444,7 +501,6 @@ fn main() {
     .map(f32::abs);
     let detail = format!("n{batch} c{c_in}->{c_out} {hw}x{hw} k3");
     let serve_detail = format!("n1 c{c_in}->{c_out} {hw}x{hw} k3");
-    let fmt = Q16Format::default();
     let git_rev = snapea_obs::run::git_rev(std::path::Path::new("."))
         .map(Json::from)
         .unwrap_or(Json::Null);
@@ -510,19 +566,11 @@ fn main() {
                 exec_results_identical,
             ),
             bench_scaling(
-                "executor_q16",
-                &detail,
-                reps,
-                &grid,
-                || execute_conv_q16(&conv, &input, &exact_cfg, fmt),
-                exec_results_identical,
-            ),
-            bench_scaling(
                 "optimizer_profiling",
                 &format!("n{prof_images} c{c_in}->{c_out} {hw}x{hw} k3"),
                 reps,
                 &grid,
-                || profile_layer_kernels(&conv, &prof_input, &[1, 2, 4, 8], &[0.25, 0.5, 0.9], 1.0),
+                || profile_layer_kernels(&conv, &prof_input, &grid_n, &quantiles, 1.0),
                 |a, b| a == b,
             ),
         ];
@@ -591,9 +639,10 @@ fn main() {
         Some((benches, gemm_rows))
     };
 
-    // --- Kernels section: frozen pre-plan baselines vs the single-core
-    // kernel engine, all at 1 thread, bit-identity asserted per entry. ---
-    println!("kernels (1 thread, frozen scalar baseline vs current):");
+    // --- Kernels section: the single-core kernel engine at 1 thread, the
+    // conv-shaped rows against dense, every row checked against an
+    // independent reference. ---
+    println!("kernels (1 thread, current kernel vs dense, checked against a reference):");
     let (gm2, gk2, gn2) = if args.smoke {
         (32, 64, 128)
     } else {
@@ -603,9 +652,9 @@ fn main() {
     let mm_rhs = sparse_lhs(Shape2::new(gk2, gn2), 0.0, 17);
     let tm_lhs = sparse_lhs(Shape2::new(gk2, gm2), 0.0, 19);
     let prof_detail = format!("n{prof_images} c{c_in}->{c_out} {hw}x{hw} k3");
-    // Lane micro-kernels: the eight-wide primitives against their scalar
-    // pinned-order references (same reduction tree, so identity is by
-    // construction — the entries measure throughput; `scripts/asm_check.sh`
+    // Lane micro-kernels: the eight-wide primitives, checked against their
+    // scalar pinned-order references (same reduction tree, so identity is
+    // by construction — the entries measure throughput; `scripts/asm_check.sh`
     // separately proves the vector bodies are actually vectorized).
     let (ld_win, ld_calls) = if args.smoke { (1024, 64) } else { (8192, 512) };
     let ld_n = ld_win * 4;
@@ -639,73 +688,57 @@ fn main() {
             "lane_dot",
             &format!("{ld_calls} windows of {ld_win}"),
             kernel_reps,
-            || lane_dot_pass(&pinned_dot_ref),
             || lane_dot_pass(&lane_dot),
-            f32_bits_eq,
+            None,
+            |out| f32_bits_eq(out, &lane_dot_pass(&pinned_dot_ref)),
         ),
         bench_kernel(
             "lane_axpy8",
             &format!("8x{ax_n}, {ax_calls} passes"),
             kernel_reps,
-            || lane_axpy_pass(&axpy8_rowwise),
             || lane_axpy_pass(&lane_axpy8),
-            f32_bits_eq,
+            None,
+            |out| f32_bits_eq(out, &lane_axpy_pass(&axpy8_rowwise)),
         ),
         bench_kernel(
             "executor_exact",
             &detail,
             kernel_reps,
-            || baseline::execute_conv(&conv, &input, &exact_cfg, false),
             || execute_conv(&conv, &input, &exact_cfg),
-            exec_results_identical,
+            Some(&|| conv.forward(&input)),
+            |r| exec_matches_oracle(r, &conv, &input, &LayerParams::Exact, false),
         ),
         bench_kernel(
             "executor_predictive",
             &detail,
             kernel_reps,
-            || baseline::execute_conv(&conv, &input, &pred_cfg, true),
             || execute_conv_stats(&conv, &input, &pred_cfg),
-            exec_results_identical,
-        ),
-        bench_kernel(
-            "executor_q16",
-            &detail,
-            kernel_reps,
-            || baseline::execute_conv_q16(&conv, &input, &exact_cfg, fmt),
-            || execute_conv_q16(&conv, &input, &exact_cfg, fmt),
-            exec_results_identical,
+            Some(&|| conv.forward(&input)),
+            |r| exec_matches_oracle(r, &conv, &input, &pred_params, true),
         ),
         bench_kernel(
             "optimizer_profiling",
             &prof_detail,
             kernel_reps,
-            || {
-                profile_layer_kernels_baseline(
-                    &conv,
-                    &prof_input,
-                    &[1, 2, 4, 8],
-                    &[0.25, 0.5, 0.9],
-                    1.0,
-                )
-            },
-            || profile_layer_kernels(&conv, &prof_input, &[1, 2, 4, 8], &[0.25, 0.5, 0.9], 1.0),
-            |a, b| a == b,
+            || profile_layer_kernels(&conv, &prof_input, &grid_n, &quantiles, 1.0),
+            Some(&|| conv.forward(&prof_input)),
+            |tables| profiling_matches_oracle(tables, &conv, &prof_input),
         ),
         bench_kernel(
             "matmul",
             &format!("{gm2}x{gk2}x{gn2}"),
             kernel_reps,
-            || matmul_scalar(&mm_lhs, &mm_rhs),
             || mm_lhs.matmul(&mm_rhs).unwrap(),
-            |a: &Tensor2, b: &Tensor2| a.as_slice() == b.as_slice(),
+            None,
+            |out| out.as_slice() == matmul_scalar(&mm_lhs, &mm_rhs).as_slice(),
         ),
         bench_kernel(
             "t_matmul",
             &format!("{gk2}x{gm2}ᵀx{gn2}"),
             kernel_reps,
-            || t_matmul_scalar(&tm_lhs, &mm_rhs),
             || tm_lhs.t_matmul(&mm_rhs).unwrap(),
-            |a: &Tensor2, b: &Tensor2| a.as_slice() == b.as_slice(),
+            None,
+            |out| out.as_slice() == t_matmul_scalar(&tm_lhs, &mm_rhs).as_slice(),
         ),
     ];
     par::set_threads(args.threads);

@@ -430,10 +430,11 @@ impl GatherTable {
 /// `base + delta[i]`, where `delta[i] = (c*h + ky)*w + kx` depends only on
 /// the original weight index and the input shape, and `base` is the window's
 /// top-left input offset. Permuting `delta` by a kernel's reorder
-/// ([`WindowPlan::resolve`]) yields taps already in walk order, so the q16
-/// walk's interior hot loop needs no `order[p]` indirection and no
-/// `off >= 0` padding branch. Border windows (any padding tap) keep the
-/// general gather-table path, which is also the f32 per-window fallback's.
+/// ([`WindowPlan::resolve`]) yields taps already in walk order, so the
+/// optimizer's batched profiling scan needs no `order[p]` indirection and
+/// no `off >= 0` padding branch on interior windows. Border windows (any
+/// padding tap) keep the general gather-table path, which is also the f32
+/// per-window fallback's.
 ///
 /// Plans depend only on `(input.h, input.w, c_in, geom)` and are memoised by
 /// [`layer_plan`].
@@ -1422,527 +1423,6 @@ pub fn combined_profile(conv: &Conv2d, input: &Tensor4, cfg: &LayerConfig) -> La
     LayerProfile::from_ops(s.n, conv.c_out(), windows, conv.window_len(), ops)
 }
 
-/// Walks a single convolution window in 16-bit fixed point, as the paper's
-/// PEs do (Table II): operands are quantised to `fmt`, products accumulate in
-/// a 32-bit-style register ([`QAcc`]), and the PAU probes the dequantised
-/// partial sum. Termination decisions may differ from the `f32` walk by at
-/// most the quantisation error of the partial sums.
-pub fn run_window_q16(
-    kernel: &KernelExec,
-    taps: &[i32],
-    item_q: &[snapea_tensor::q16::Q16],
-    bias: f32,
-    fmt: snapea_tensor::q16::Q16Format,
-) -> WindowResult {
-    let weights = kernel.reordered.weights();
-    let order = kernel.reordered.order();
-    walk_window_q16(&kernel.pau, weights.len(), bias, fmt, |p, acc| {
-        let off = taps[order[p] as usize];
-        if off >= 0 {
-            acc.mac(item_q[off as usize], fmt.quantize(weights[p]));
-        }
-    })
-}
-
-/// The fixed-point accumulator seeded with the bias pre-scaled to the
-/// product width (how every q16 walk begins).
-#[inline(always)]
-fn q16_bias_acc(bias: f32, fmt: snapea_tensor::q16::Q16Format) -> snapea_tensor::q16::QAcc {
-    let mut acc = snapea_tensor::q16::QAcc::new();
-    acc.mac(fmt.quantize(bias), fmt.quantize(1.0));
-    acc
-}
-
-/// Continues a fixed-point window walk from position `start` (which must
-/// be the walk's unconditional-prefix length) with partial sum `acc` — the
-/// q16 twin of [`run_window`]'s probed phases. Integer accumulation is exact, so any
-/// batching of the prefix that hands the same raw sum in here is
-/// bit-identical to the sequential walk.
-#[inline(always)]
-fn walk_window_q16_from(
-    pau: &Pau,
-    len: usize,
-    mut acc: snapea_tensor::q16::QAcc,
-    start: usize,
-    fmt: snapea_tensor::q16::Q16Format,
-    mut mac: impl FnMut(usize, &mut snapea_tensor::q16::QAcc),
-) -> WindowResult {
-    debug_assert_eq!(start, unconditional_prefix_len(pau, len));
-    let spec_probe = spec_probe_pos(pau);
-    let ns = pau.neg_start();
-    let mut p = start;
-    if p < len && p == spec_probe {
-        if let PauAction::Terminate(kind) = pau.probe(p, acc.to_f32(fmt)) {
-            return terminated(p, acc.to_f32(fmt), kind);
-        }
-        mac(p, &mut acc);
-        p += 1;
-        let stop = ns.min(len);
-        while p < stop {
-            mac(p, &mut acc);
-            p += 1;
-        }
-    }
-    while p < len {
-        if let PauAction::Terminate(kind) = pau.probe(p, acc.to_f32(fmt)) {
-            return terminated(p, acc.to_f32(fmt), kind);
-        }
-        mac(p, &mut acc);
-        p += 1;
-    }
-    WindowResult {
-        ops: snapea_tensor::num::ops_u32(len),
-        output: acc.to_f32(fmt),
-        termination: None,
-    }
-}
-
-/// Phase-split fixed-point window walk (the q16 twin of [`run_window`]):
-/// probes only where [`Pau::probe`] can fire, dequantising the partial sum
-/// per probe instead of per MAC. `mac(p, acc)` performs the MAC at position
-/// `p` in place.
-#[inline(always)]
-fn walk_window_q16(
-    pau: &Pau,
-    len: usize,
-    bias: f32,
-    fmt: snapea_tensor::q16::Q16Format,
-    mut mac: impl FnMut(usize, &mut snapea_tensor::q16::QAcc),
-) -> WindowResult {
-    let mut acc = q16_bias_acc(bias, fmt);
-    let stop1 = unconditional_prefix_len(pau, len);
-    let mut p = 0usize;
-    while p < stop1 {
-        mac(p, &mut acc);
-        p += 1;
-    }
-    walk_window_q16_from(pau, len, acc, stop1, fmt, mac)
-}
-
-/// Executes a convolution layer with 16-bit fixed-point arithmetic in the
-/// lanes (quantised inputs and weights, wide accumulator), mirroring
-/// [`execute_conv`]. No prediction accounting.
-// lint:allow(P2) k < c_out and w < windows index per-kernel tables sized by the asserts above
-pub fn execute_conv_q16(
-    conv: &Conv2d,
-    input: &Tensor4,
-    cfg: &LayerConfig,
-    fmt: snapea_tensor::q16::Q16Format,
-) -> ExecResult {
-    use snapea_tensor::lane::LANES;
-    assert_eq!(cfg.kernels.len(), conv.c_out(), "config kernel count");
-    let _layer_span = snapea_obs::hot_span!("exec/layer");
-    let layer_clock = snapea_obs::Stopwatch::start();
-    let s = input.shape();
-    let (plan, cache_hit) = layer_plan_entry(s, conv.geom(), conv.c_in());
-    let out_shape = conv.out_shape(s);
-    let windows = plan.windows();
-
-    // Resolved taps and pre-quantised weights once per kernel —
-    // `fmt.quantize` is deterministic, so hoisting it out of the per-MAC
-    // loop changes nothing numerically.
-    let resolved: Vec<Vec<i32>> = cfg
-        .kernels
-        .iter()
-        .map(|k| plan.resolve(&k.reordered))
-        .collect();
-    let weights_q: Vec<Vec<snapea_tensor::q16::Q16>> = cfg
-        .kernels
-        .iter()
-        .map(|k| {
-            k.reordered
-                .weights()
-                .iter()
-                .map(|&w| fmt.quantize(w))
-                .collect()
-        })
-        .collect();
-
-    // Every image quantised once up front (the serial loop quantised per
-    // image too — same values, same count), so the parallel pair blocks
-    // below can read any image without re-quantising per kernel.
-    let items_q: Vec<Vec<snapea_tensor::q16::Q16>> = (0..s.n)
-        .map(|n| snapea_tensor::q16::quantize_slice(fmt, input.item(n)))
-        .collect();
-
-    let mut output = Tensor4::zeros(out_shape);
-    let mut ops = vec![0u32; s.n * conv.c_out() * windows];
-    let mut lane_counts = LaneCounts::default();
-
-    // Same (image, kernel) pair-block dispatch as `execute_conv_inner`:
-    // flat pair index `n * c_out + k` addresses both layouts, blocks are
-    // sized by the walk floor (q16 has no stats to merge — windows are
-    // pure writes into the block's disjoint slices), and each block walks
-    // its pairs and windows in ascending order, so the quantised outputs
-    // are bit-identical to the serial loop at any thread count.
-    //
-    // Interior windows are gathered into eight-wide ([`LANES`]) groups whose
-    // unconditional prefixes run through the integer lane kernel
-    // ([`snapea_tensor::lane::lane_q16_span`]); i64 accumulation is exact,
-    // so the batched prefix hands each window the same raw sum as its
-    // sequential walk and the probed remainder continues bit-identically.
-    if windows > 0 {
-        let chunk = snapea_tensor::par::chunk_for(
-            s.n * conv.c_out(),
-            windows * conv.window_len(),
-            snapea_tensor::par::WALK_TASK_FLOOR_OPS,
-        );
-        let blocks: Vec<(&mut [f32], &mut [u32])> = output
-            .as_mut_slice()
-            .chunks_mut(chunk * windows)
-            .zip(ops.chunks_mut(chunk * windows))
-            .collect();
-        let per_block: Vec<LaneCounts> =
-            snapea_tensor::par::run_tasks(blocks, |bi, (out_blk, ops_blk)| {
-                let mut lc = LaneCounts::default();
-                for (pi, (out_slice, ops_slice)) in out_blk
-                    .chunks_mut(windows)
-                    .zip(ops_blk.chunks_mut(windows))
-                    .enumerate()
-                {
-                    let pair = bi * chunk + pi;
-                    let (n, k) = (pair / conv.c_out(), pair % conv.c_out());
-                    let kexec = &cfg.kernels[k];
-                    let bias = conv.bias()[k];
-                    let len = kexec.reordered.weights().len();
-                    let stop1 = unconditional_prefix_len(&kexec.pau, len);
-                    let rt = &resolved[k][..];
-                    let wq = &weights_q[k][..];
-                    let item_q = &items_q[n][..];
-                    let bias_raw = q16_bias_acc(bias, fmt).raw();
-                    let mut lanes = [(0usize, 0i32); LANES];
-                    let mut nl = 0usize;
-                    for w in 0..windows {
-                        let base = plan.window_base(w);
-                        if base >= 0 {
-                            lanes[nl] = (w, base);
-                            nl += 1;
-                            if nl < LANES {
-                                continue;
-                            }
-                            nl = 0;
-                            lc.lane += LANES as u64;
-                            let bases = lanes.map(|(_, b)| b);
-                            let mut accs = [bias_raw; LANES];
-                            snapea_tensor::lane::lane_q16_span(
-                                &mut accs, wq, rt, &bases, item_q, 0, stop1,
-                            );
-                            for (l, &(lw, lb)) in lanes.iter().enumerate() {
-                                let r = walk_window_q16_from(
-                                    &kexec.pau,
-                                    len,
-                                    snapea_tensor::q16::QAcc::from_raw(accs[l]),
-                                    stop1,
-                                    fmt,
-                                    |p, acc| {
-                                        acc.mac(item_q[(lb + rt[p]) as usize], wq[p]);
-                                    },
-                                );
-                                out_slice[lw] = r.output;
-                                ops_slice[lw] = r.ops;
-                            }
-                        } else {
-                            lc.scalar += nl as u64 + 1;
-                            for &(lw, lb) in &lanes[..nl] {
-                                let r = walk_window_q16(&kexec.pau, len, bias, fmt, |p, acc| {
-                                    acc.mac(item_q[(lb + rt[p]) as usize], wq[p]);
-                                });
-                                out_slice[lw] = r.output;
-                                ops_slice[lw] = r.ops;
-                            }
-                            nl = 0;
-                            let r =
-                                run_window_q16(kexec, plan.gather().window(w), item_q, bias, fmt);
-                            out_slice[w] = r.output;
-                            ops_slice[w] = r.ops;
-                        }
-                    }
-                    lc.scalar += nl as u64;
-                    for &(lw, lb) in &lanes[..nl] {
-                        let r = walk_window_q16(&kexec.pau, len, bias, fmt, |p, acc| {
-                            acc.mac(item_q[(lb + rt[p]) as usize], wq[p]);
-                        });
-                        out_slice[lw] = r.output;
-                        ops_slice[lw] = r.ops;
-                    }
-                }
-                lc
-            });
-        for lc in &per_block {
-            lane_counts.merge(lc);
-        }
-    }
-
-    let profile = LayerProfile {
-        images: s.n,
-        kernels: conv.c_out(),
-        windows,
-        window_len: conv.window_len(),
-        ops,
-    };
-    record_layer_execution(
-        &profile,
-        None,
-        lane_counts,
-        cache_hit,
-        layer_clock.elapsed_ms(),
-    );
-    ExecResult {
-        output,
-        profile,
-        stats: PredictionStats::default(),
-    }
-}
-
-pub mod baseline {
-    //! Frozen pre-plan scalar executor: the window walk exactly as it stood
-    //! before the single-core kernel engine (resolved-tap window plans,
-    //! phase-split probes, batched interior walks, plan caching).
-    //!
-    //! This is the *reference implementation* the regression tests pin the
-    //! optimised paths against bit-for-bit, and the *before* side of
-    //! `perfbench`'s kernels section. The issue suggested keeping it behind
-    //! `#[cfg(test)]`, but the benchmark binary needs it at runtime, so it
-    //! lives here as a public module instead (see DESIGN.md §6). It is
-    //! serial, builds its gather table from scratch on every call, probes
-    //! the PAU before every MAC, and charges no metrics — do not optimise
-    //! or hook it up to the plan cache.
-    //!
-    //! Re-frozen for the lane engine (DESIGN.md §11): the accumulation
-    //! order is the *pinned lane order* — a hand-written scalar
-    //! eight-accumulator prefix over `0..m8` with select semantics for
-    //! padding taps, deliberately independent of `snapea_tensor::lane` —
-    //! followed by the historical probe-before-every-MAC walk from `m8`.
-    //! Skipping the probes below `m8` is observationally identical: every
-    //! position there is below both the speculative boundary and
-    //! `neg_start`, where [`Pau::probe`] returns `Continue` unconditionally.
-
-    use super::*;
-
-    /// Scalar reference for the pinned lane prefix: positions `0..m8` of
-    /// the gathered walk summed into eight named accumulators (padding taps
-    /// contributing a literal `0.0` operand), collapsed through the pinned
-    /// tree, added to the bias only when `m8 > 0`.
-    // lint:allow(P2) frozen reference walk: p < m8 <= weights.len(), off >= 0 checked before indexing
-    fn pinned_prefix(kernel: &KernelExec, taps: &[i32], item: &[f32], bias: f32, m8: usize) -> f32 {
-        if m8 == 0 {
-            return bias;
-        }
-        let weights = kernel.reordered.weights();
-        let order = kernel.reordered.order();
-        let mut lanes = [0.0f32; 8];
-        for p in 0..m8 {
-            let off = taps[order[p] as usize];
-            let v = if off >= 0 { item[off as usize] } else { 0.0 };
-            lanes[p % 8] += v * weights[p];
-        }
-        bias + (((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
-            + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7])))
-    }
-
-    /// The lane-blocked prefix length of a kernel's walk: the largest
-    /// multiple of eight not exceeding the probe-free prefix.
-    fn lane_m8(kernel: &KernelExec, len: usize) -> usize {
-        let stop1 = unconditional_prefix_len(&kernel.pau, len);
-        stop1 - stop1 % 8
-    }
-
-    /// Pre-plan [`run_window`](super::run_window): pinned lane prefix, then
-    /// probes before every MAC.
-    // lint:allow(P2) frozen reference walk: p < weights.len(), off >= 0 checked before indexing
-    pub fn run_window(kernel: &KernelExec, taps: &[i32], item: &[f32], bias: f32) -> WindowResult {
-        let weights = kernel.reordered.weights();
-        let order = kernel.reordered.order();
-        let m8 = lane_m8(kernel, weights.len());
-        let mut acc = pinned_prefix(kernel, taps, item, bias, m8);
-        for p in m8..weights.len() {
-            match kernel.pau.probe(p, acc) {
-                PauAction::Terminate(kind) => {
-                    let output = match kind {
-                        TerminationKind::Predicted => 0.0, // early ReLU fired
-                        TerminationKind::SignCheck => acc,
-                    };
-                    return WindowResult {
-                        ops: snapea_tensor::num::ops_u32(p),
-                        output,
-                        termination: Some(kind),
-                    };
-                }
-                PauAction::Continue => {}
-            }
-            let off = taps[order[p] as usize];
-            if off >= 0 {
-                acc += item[off as usize] * weights[p];
-            }
-            // Padding taps still occupy a MAC slot in the hardware walk: the
-            // weight is broadcast and the lane multiplies by zero.
-        }
-        WindowResult {
-            ops: snapea_tensor::num::ops_u32(weights.len()),
-            output: acc,
-            termination: None,
-        }
-    }
-
-    /// Pre-plan full dot product (stats accounting reference): pinned lane
-    /// prefix over the walk's `m8`, sequential to the end.
-    // lint:allow(P2) frozen reference walk: p < weights.len(), off >= 0 checked before indexing
-    pub fn full_window_value(kernel: &KernelExec, taps: &[i32], item: &[f32], bias: f32) -> f32 {
-        let weights = kernel.reordered.weights();
-        let order = kernel.reordered.order();
-        let m8 = lane_m8(kernel, weights.len());
-        let mut acc = pinned_prefix(kernel, taps, item, bias, m8);
-        for p in m8..weights.len() {
-            let off = taps[order[p] as usize];
-            if off >= 0 {
-                acc += item[off as usize] * weights[p];
-            }
-        }
-        acc
-    }
-
-    /// Pre-plan serial executor: per-window scalar walks over a freshly
-    /// built gather table, stats folded in ascending `(image, kernel,
-    /// window)` order — the order the optimised executor must reproduce.
-    // lint:allow(P2) frozen reference executor: k < c_out, w < windows by the geometry asserts
-    pub fn execute_conv(
-        conv: &Conv2d,
-        input: &Tensor4,
-        cfg: &LayerConfig,
-        collect_stats: bool,
-    ) -> ExecResult {
-        assert_eq!(cfg.kernels().len(), conv.c_out(), "config kernel count");
-        let s = input.shape();
-        let gather = GatherTable::build(s, conv.geom(), conv.c_in());
-        let out_shape = conv.out_shape(s);
-        let windows = gather.windows();
-
-        let mut output = Tensor4::zeros(out_shape);
-        let mut ops = vec![0u32; s.n * conv.c_out() * windows];
-        let mut stats = PredictionStats::default();
-
-        for n in 0..s.n {
-            let item = input.item(n);
-            for (k, kexec) in cfg.kernels().iter().enumerate() {
-                let bias = conv.bias()[k];
-                let out_base = out_shape.offset(n, k, 0, 0);
-                let ops_base = (n * conv.c_out() + k) * windows;
-                for w in 0..windows {
-                    let taps = gather.window(w);
-                    let r = run_window(kexec, taps, item, bias);
-                    output.as_mut_slice()[out_base + w] = r.output;
-                    ops[ops_base + w] = r.ops;
-                    if collect_stats {
-                        let full = full_window_value(kexec, taps, item, bias);
-                        account_window(&mut stats, full, r.termination);
-                    }
-                }
-            }
-        }
-
-        let profile = LayerProfile {
-            images: s.n,
-            kernels: conv.c_out(),
-            windows,
-            window_len: conv.window_len(),
-            ops,
-        };
-        ExecResult {
-            output,
-            profile,
-            stats,
-        }
-    }
-
-    /// Pre-plan [`run_window_q16`](super::run_window_q16): probes (and
-    /// dequantises) before every MAC, quantises the weight per MAC.
-    // lint:allow(P2) frozen reference walk: p < weights.len(), off >= 0 checked before indexing
-    pub fn run_window_q16(
-        kernel: &KernelExec,
-        taps: &[i32],
-        item_q: &[snapea_tensor::q16::Q16],
-        bias: f32,
-        fmt: snapea_tensor::q16::Q16Format,
-    ) -> WindowResult {
-        use snapea_tensor::q16::QAcc;
-        let weights = kernel.reordered.weights();
-        let order = kernel.reordered.order();
-        let mut acc = QAcc::new();
-        // Bias enters the accumulator pre-scaled to the product width.
-        acc.mac(fmt.quantize(bias), fmt.quantize(1.0));
-        for p in 0..weights.len() {
-            match kernel.pau.probe(p, acc.to_f32(fmt)) {
-                PauAction::Terminate(kind) => {
-                    let output = match kind {
-                        TerminationKind::Predicted => 0.0,
-                        TerminationKind::SignCheck => acc.to_f32(fmt),
-                    };
-                    return WindowResult {
-                        ops: snapea_tensor::num::ops_u32(p),
-                        output,
-                        termination: Some(kind),
-                    };
-                }
-                PauAction::Continue => {}
-            }
-            let off = taps[order[p] as usize];
-            if off >= 0 {
-                acc.mac(item_q[off as usize], fmt.quantize(weights[p]));
-            }
-        }
-        WindowResult {
-            ops: snapea_tensor::num::ops_u32(weights.len()),
-            output: acc.to_f32(fmt),
-            termination: None,
-        }
-    }
-
-    /// Pre-plan serial fixed-point executor.
-    // lint:allow(P2) frozen reference executor: k < c_out, w < windows by the geometry asserts
-    pub fn execute_conv_q16(
-        conv: &Conv2d,
-        input: &Tensor4,
-        cfg: &LayerConfig,
-        fmt: snapea_tensor::q16::Q16Format,
-    ) -> ExecResult {
-        assert_eq!(cfg.kernels().len(), conv.c_out(), "config kernel count");
-        let s = input.shape();
-        let gather = GatherTable::build(s, conv.geom(), conv.c_in());
-        let out_shape = conv.out_shape(s);
-        let windows = gather.windows();
-
-        let mut output = Tensor4::zeros(out_shape);
-        let mut ops = vec![0u32; s.n * conv.c_out() * windows];
-
-        for n in 0..s.n {
-            let item_q = snapea_tensor::q16::quantize_slice(fmt, input.item(n));
-            for (k, kexec) in cfg.kernels().iter().enumerate() {
-                let bias = conv.bias()[k];
-                let out_base = out_shape.offset(n, k, 0, 0);
-                let ops_base = (n * conv.c_out() + k) * windows;
-                for w in 0..windows {
-                    let r = run_window_q16(kexec, gather.window(w), &item_q, bias, fmt);
-                    output.as_mut_slice()[out_base + w] = r.output;
-                    ops[ops_base + w] = r.ops;
-                }
-            }
-        }
-
-        let profile = LayerProfile {
-            images: s.n,
-            kernels: conv.c_out(),
-            windows,
-            window_len: conv.window_len(),
-            ops,
-        };
-        ExecResult {
-            output,
-            profile,
-            stats: PredictionStats::default(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2159,52 +1639,6 @@ mod tests {
         assert!(combined.total_ops() > 0);
     }
 
-    #[test]
-    fn q16_exact_mode_matches_f32_within_quantisation() {
-        use snapea_tensor::q16::Q16Format;
-        let mut rng = init::rng(21);
-        let conv = Conv2d::new(3, 4, ConvGeom::square(3, 1, 1), &mut rng);
-        let input = nonneg_input(Shape4::new(1, 3, 8, 8), 22);
-        let cfg = LayerConfig::exact(&conv);
-        let fmt = Q16Format::new(10);
-        let fq = execute_conv_q16(&conv, &input, &cfg, fmt);
-        let ff = execute_conv(&conv, &input, &cfg);
-        // Post-ReLU outputs agree within accumulated quantisation error.
-        let window_err = conv.window_len() as f32 * fmt.lsb() * 4.0;
-        for (a, b) in fq.output.iter().zip(ff.output.iter()) {
-            assert!((a.max(0.0) - b.max(0.0)).abs() <= window_err, "{a} vs {b}");
-        }
-        // Termination decisions agree for the overwhelming majority of
-        // windows (they can differ where the partial sum grazes zero).
-        let same = fq
-            .profile
-            .ops_slice()
-            .iter()
-            .zip(ff.profile.ops_slice())
-            .filter(|(a, b)| a == b)
-            .count();
-        let total = fq.profile.ops_slice().len();
-        assert!(
-            same as f64 / total as f64 > 0.9,
-            "only {same}/{total} windows agree"
-        );
-    }
-
-    #[test]
-    fn q16_predictive_mode_zeroes_predicted_windows() {
-        use snapea_tensor::q16::Q16Format;
-        let mut rng = init::rng(31);
-        let conv = Conv2d::new(2, 3, ConvGeom::square(3, 1, 0), &mut rng);
-        let input = nonneg_input(Shape4::new(1, 2, 6, 6), 32);
-        let cfg = LayerConfig::predictive_uniform(&conv, KernelParams::new(f32::INFINITY, 2));
-        let r = execute_conv_q16(&conv, &input, &cfg, Q16Format::default());
-        assert!(r.output.iter().all(|&v| v == 0.0));
-        assert_eq!(
-            r.profile.total_ops(),
-            (r.profile.kernels() * r.profile.windows()) as u64 * 2
-        );
-    }
-
     /// Brute-force interior test straight from the definition: a window is
     /// border iff any of its gather taps is a padding tap.
     fn brute_force_is_border(gather: &GatherTable, w: usize) -> bool {
@@ -2254,68 +1688,6 @@ mod tests {
             // one out-of-bounds window under the saturating output formula.)
             if pad == 0 && kh <= h && kw <= w {
                 proptest::prop_assert_eq!(plan.interior_windows(), plan.windows());
-            }
-        }
-    }
-
-    /// The optimised executor (resolved-tap plans, phase-split probes,
-    /// batched interior walks) must be bit-identical to the frozen pre-plan
-    /// scalar walk — outputs, op counts, and the order-sensitive f64 stats.
-    #[test]
-    fn executor_is_bit_identical_to_baseline() {
-        for (seed, geom) in [
-            (50, ConvGeom::square(3, 1, 1)), // borders on every edge
-            (51, ConvGeom::square(3, 1, 0)), // all interior
-            (52, ConvGeom::square(3, 2, 1)), // strided
-            (53, ConvGeom::square(1, 1, 0)), // 1x1
-            (54, ConvGeom::square(5, 1, 2)), // wide borders
-        ] {
-            let mut rng = init::rng(seed);
-            let conv = Conv2d::new(3, 5, geom, &mut rng);
-            let input = nonneg_input(Shape4::new(2, 3, 9, 9), seed + 100);
-            let groups = 4.min(conv.window_len());
-            for cfg in [
-                LayerConfig::exact(&conv),
-                LayerConfig::predictive_uniform(&conv, KernelParams::new(0.05, groups)),
-                LayerConfig::predictive_uniform(&conv, KernelParams::new(f32::INFINITY, 2)),
-            ] {
-                for collect_stats in [false, true] {
-                    let new = execute_conv_inner(&conv, &input, &cfg, collect_stats, LOWERED_CAP);
-                    let old = baseline::execute_conv(&conv, &input, &cfg, collect_stats);
-                    assert_eq!(new.output.as_slice(), old.output.as_slice(), "seed {seed}");
-                    assert_eq!(new.profile.ops, old.profile.ops, "seed {seed}");
-                    assert_eq!(new.stats, old.stats, "seed {seed}");
-                    assert_eq!(
-                        new.stats.positive_mass.to_bits(),
-                        old.stats.positive_mass.to_bits(),
-                        "seed {seed}: f64 mass must match bitwise"
-                    );
-                    assert_eq!(
-                        new.stats.squashed_mass.to_bits(),
-                        old.stats.squashed_mass.to_bits(),
-                        "seed {seed}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn q16_executor_is_bit_identical_to_baseline() {
-        use snapea_tensor::q16::Q16Format;
-        for seed in [60, 61] {
-            let mut rng = init::rng(seed);
-            let conv = Conv2d::new(2, 4, ConvGeom::square(3, 1, 1), &mut rng);
-            let input = nonneg_input(Shape4::new(1, 2, 8, 8), seed + 7);
-            for cfg in [
-                LayerConfig::exact(&conv),
-                LayerConfig::predictive_uniform(&conv, KernelParams::new(0.05, 3)),
-            ] {
-                let fmt = Q16Format::new(10);
-                let new = execute_conv_q16(&conv, &input, &cfg, fmt);
-                let old = baseline::execute_conv_q16(&conv, &input, &cfg, fmt);
-                assert_eq!(new.output.as_slice(), old.output.as_slice(), "seed {seed}");
-                assert_eq!(new.profile.ops, old.profile.ops, "seed {seed}");
             }
         }
     }

@@ -16,11 +16,15 @@
 //! onto each point's (`conv_forward | n8 … | t4`). Deeper nesting is
 //! ignored.
 //!
-//! Documents recorded on a machine without real parallelism carry a
-//! top-level `"degraded": true` (see perfbench); comparing a degraded
-//! recording against a non-degraded one would gate scaling numbers against
-//! oversubscription noise, so [`diff`] refuses outright — `passed()` is
-//! `false` and the reports say why — instead of producing rows.
+//! Two top-level header fields say what machine state a document's
+//! timings measure, and [`diff`] refuses outright — `passed()` is `false`
+//! and the reports say why — instead of producing rows when they differ:
+//!
+//! * `"degraded"`: `true` on a machine without real parallelism (see
+//!   perfbench), whose curves measure oversubscription noise, not scaling;
+//! * `"lane_isa"`: which instantiation of the lane kernels ran (`avx2` or
+//!   `baseline`), so kernel timings of one ISA are never gated against the
+//!   other.
 
 use crate::json::Json;
 
@@ -61,8 +65,8 @@ pub struct PerfDiff {
     pub removed: Vec<String>,
     /// Row identities present only in the new document.
     pub added: Vec<String>,
-    /// When set, the documents cannot be meaningfully compared (degraded
-    /// recording vs non-degraded); no rows were produced and the gate fails.
+    /// When set, the documents cannot be meaningfully compared (their
+    /// header fields differ); no rows were produced and the gate fails.
     pub incompatible: Option<String>,
 }
 
@@ -156,24 +160,45 @@ fn diff_rows(
     }
 }
 
-/// Whether a document was recorded degraded (`available_parallelism == 1`);
-/// absent means `false` (schema-1 documents predate the flag).
-fn is_degraded(doc: &Json) -> bool {
-    doc.get("degraded").and_then(Json::as_bool).unwrap_or(false)
+/// Header fields that must agree for two documents to be compared: the
+/// field, the value an absent field stands for, and what a mismatch means.
+/// Documents without `degraded` predate the flag; documents without
+/// `lane_isa` predate the AVX2 dispatch and so ran the baseline kernels.
+const HEADERS: [(&str, &str, &str); 2] = [
+    (
+        "degraded",
+        "false",
+        "one machine had available_parallelism == 1 — its curves measure \
+         oversubscription overhead, not scaling",
+    ),
+    (
+        "lane_isa",
+        "baseline",
+        "the lane kernels ran different instruction-set instantiations",
+    ),
+];
+
+/// A header field's value as text, or `absent` when the document lacks it.
+fn header(doc: &Json, field: &str, absent: &str) -> String {
+    match doc.get(field) {
+        None => absent.to_string(),
+        Some(Json::Str(v)) => v.clone(),
+        Some(v) => v.to_string(),
+    }
 }
 
 /// Diffs two benchmark documents (see the module docs for the shape).
 pub fn diff(old: &Json, new: &Json) -> PerfDiff {
     let mut out = PerfDiff::default();
-    let (old_deg, new_deg) = (is_degraded(old), is_degraded(new));
-    if old_deg != new_deg {
-        out.incompatible = Some(format!(
-            "refusing to compare: old recorded with degraded={old_deg}, new with \
-             degraded={new_deg} (one machine had available_parallelism == 1 — its \
-             curves measure oversubscription overhead, not scaling); re-record both \
-             on comparable machines"
-        ));
-        return out;
+    for (field, absent, why) in HEADERS {
+        let (o, n) = (header(old, field, absent), header(new, field, absent));
+        if o != n {
+            out.incompatible = Some(format!(
+                "refusing to compare: old recorded with {field}={o}, new with \
+                 {field}={n} ({why}); re-record both on comparable machines"
+            ));
+            return out;
+        }
     }
     let empty: &[(String, Json)] = &[];
     let old_pairs = old.as_object().unwrap_or(empty);
@@ -315,8 +340,8 @@ mod tests {
         parse(&format!(
             r#"{{"generated_by":"perfbench","reps":5,
                 "kernels":[
-                  {{"name":"executor_exact","detail":"n8","baseline_ms":56.0,"kernel_ms":{kernel_ms},"speedup":1.5,"bit_identical":true}},
-                  {{"name":"matmul","detail":"96x288","baseline_ms":2.5,"kernel_ms":1.5,"speedup":1.7,"bit_identical":true}}
+                  {{"name":"executor_exact","detail":"n8","kernel_ms":{kernel_ms},"dense_ms":24.0,"vs_dense_x":1.5,"bit_identical":true}},
+                  {{"name":"optimizer_profiling","detail":"n2","kernel_ms":60.0,"dense_ms":1.0,"vs_dense_x":60.0,"bit_identical":true}}
                 ]}}"#
         ))
         .unwrap()
@@ -341,7 +366,7 @@ mod tests {
         let d = diff(&bench_doc(37.0), &bench_doc(37.0));
         assert!(d.passed(10.0));
         assert!(d.regressions(0.0).is_empty(), "zero delta everywhere");
-        // baseline_ms + kernel_ms on both rows = 4 compared cells.
+        // kernel_ms + dense_ms on both rows = 4 compared cells.
         assert_eq!(d.rows.len(), 4);
         assert!(d.removed.is_empty() && d.added.is_empty());
     }
@@ -373,13 +398,16 @@ mod tests {
         let old = bench_doc(37.0);
         let new = parse(
             r#"{"kernels":[
-                {"name":"executor_exact","detail":"n8","baseline_ms":56.0,"kernel_ms":37.0},
+                {"name":"executor_exact","detail":"n8","kernel_ms":37.0,"dense_ms":24.0},
                 {"name":"brand_new","detail":"x","kernel_ms":1.0}
             ]}"#,
         )
         .unwrap();
         let d = diff(&old, &new);
-        assert_eq!(d.removed, vec!["kernels: matmul | 96x288".to_string()]);
+        assert_eq!(
+            d.removed,
+            vec!["kernels: optimizer_profiling | n2".to_string()]
+        );
         assert_eq!(d.added, vec!["kernels: brand_new | x".to_string()]);
         // Missing rows do not crash the gate; they are surfaced instead.
         assert!(d.passed(10.0));
@@ -449,7 +477,7 @@ mod tests {
             parse(&format!(
                 r#"{{"generated_by":"perfbench --kernels","schema":2,"degraded":{degraded},
                     "kernels":[
-                      {{"name":"lane_dot","detail":"512 windows","baseline_ms":3.0,"kernel_ms":1.5,"speedup":2.0,"bit_identical":true}}
+                      {{"name":"executor_exact","detail":"n8","kernel_ms":1.5,"dense_ms":0.7,"vs_dense_x":2.1,"bit_identical":true}}
                     ]}}"#
             ))
             .unwrap()
@@ -464,8 +492,39 @@ mod tests {
         // Matching flags compare the kernel cells normally.
         let d = diff(&kernels_doc(true), &kernels_doc(true));
         assert!(d.incompatible.is_none());
-        assert_eq!(d.rows.len(), 2, "baseline_ms + kernel_ms compared");
+        assert_eq!(d.rows.len(), 2, "kernel_ms + dense_ms compared");
         assert!(d.passed(10.0));
+    }
+
+    /// Kernel timings of the AVX2 and baseline instantiations are not
+    /// comparable either; an absent `lane_isa` stands for `baseline`.
+    #[test]
+    fn lane_isa_mismatch_is_refused() {
+        let doc = |isa: &str| {
+            parse(&format!(
+                r#"{{"generated_by":"perfbench --kernels","schema":2,"degraded":false,{isa}
+                    "kernels":[{{"name":"lane_dot","detail":"512 windows","kernel_ms":1.5,"bit_identical":true}}]}}"#
+            ))
+            .unwrap()
+        };
+        let (avx2, baseline, absent) = (
+            doc(r#""lane_isa":"avx2","#),
+            doc(r#""lane_isa":"baseline","#),
+            doc(""),
+        );
+        for (old, new) in [(&avx2, &baseline), (&baseline, &avx2), (&absent, &avx2)] {
+            let d = diff(old, new);
+            let why = d.incompatible.as_deref().expect("ISA mismatch must refuse");
+            assert!(why.contains("lane_isa="), "{why}");
+            assert!(d.rows.is_empty());
+            assert!(!d.passed(1e9));
+        }
+        for (old, new) in [(&avx2, &avx2), (&absent, &baseline)] {
+            let d = diff(old, new);
+            assert!(d.incompatible.is_none());
+            assert_eq!(d.rows.len(), 1, "kernel_ms compared");
+            assert!(d.passed(10.0));
+        }
     }
 
     #[test]

@@ -402,10 +402,10 @@ fn check_conv(
     }
 }
 
-/// Re-derives `PredictionStats` from the oracle layer (same per-pair
-/// accumulation grouping as the executor, so the f64 masses must match
-/// bit-for-bit).
-fn oracle_stats(
+/// Re-derives `PredictionStats` from an oracle layer of `images × kernels`
+/// pairs of `windows` windows each (same per-pair accumulation grouping as
+/// the executor, so the f64 masses must match bit-for-bit).
+pub fn oracle_stats(
     layer: &reference::OracleLayer,
     images: usize,
     kernels: usize,

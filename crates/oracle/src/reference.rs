@@ -515,6 +515,57 @@ pub fn execute_layer(
     }
 }
 
+/// One kernel-profiling candidate as the oracle walk re-derives it: the
+/// two numbers Algorithm 1's profiling pass ranks and filters candidates
+/// by.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OracleCandidate {
+    /// MACs over every `(image, window)` of the one-kernel layer.
+    pub ops: u64,
+    /// Squashed positive mass over total positive mass (0 when the kernel
+    /// has no positive mass).
+    pub surrogate_err: f64,
+}
+
+/// Walks a one-kernel layer under `mode` and returns that candidate's op
+/// total and surrogate error. `weights` is the kernel's flat `c·kh·kw`
+/// slice. The positive mass sums every window's `max(full, 0)`; the
+/// squashed mass sums the full value of every predicted window whose full
+/// value is non-negative. Both fold in `f64` in ascending `(image,
+/// window)` order, the order the profiling pass folds them in.
+pub fn profile_candidate(
+    weights: &[f32],
+    bias: f32,
+    geom: ConvGeom,
+    input: &Tensor4,
+    mode: KernelMode,
+) -> OracleCandidate {
+    let s = input.shape();
+    let ord = order_for_mode(weights, mode);
+    let oh = conv_out_dim(s.h, geom.kh, geom.stride, geom.pad);
+    let ow = conv_out_dim(s.w, geom.kw, geom.stride, geom.pad);
+    let (mut ops, mut positive, mut squashed) = (0u64, 0.0f64, 0.0f64);
+    for n in 0..s.n {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let r = walk_window(input, n, oy, ox, weights, &ord, geom, bias);
+                let full = full_window_value(input, n, oy, ox, weights, &ord, geom, bias);
+                ops += u64::from(r.ops);
+                positive += f64::from(full.max(0.0));
+                if r.termination == Some(OracleTermination::Predicted) && full >= 0.0 {
+                    squashed += f64::from(full);
+                }
+            }
+        }
+    }
+    let surrogate_err = if positive > 0.0 {
+        squashed / positive
+    } else {
+        0.0
+    };
+    OracleCandidate { ops, surrogate_err }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,8 +2,8 @@
 //! reduction order every numeric path in the suite is frozen to.
 //!
 //! The accelerator's PEs are eight-lane MAC arrays; this module gives the
-//! software model the same shape in std-only Rust. [`f32x8`] / [`i32x8`]
-//! wrap `[T; 8]` with `#[inline]` elementwise ops that LLVM turns into
+//! software model the same shape in std-only Rust. [`f32x8`] wraps
+//! `[f32; 8]` with `#[inline]` elementwise ops that LLVM turns into
 //! vector instructions (`scripts/asm_check.sh` asserts this structurally on
 //! the `#[inline(never)]` kernels below — check the asm, not just the
 //! timing).
@@ -25,8 +25,8 @@
 //!
 //! Splitting a dot product across eight lanes changes float accumulation
 //! order, so the order is *pinned* once, here, and every implementation in
-//! the workspace (executor, frozen baseline, oracle reference, optimizer
-//! scans) reproduces it bit-for-bit:
+//! the workspace (executor, oracle reference, optimizer scans) reproduces
+//! it bit-for-bit:
 //!
 //! * positions `0..m8` (where `m8 = lane_prefix_len(stop1)` is the largest
 //!   multiple of [`LANES`] no larger than the probe-free prefix) are summed
@@ -43,11 +43,6 @@
 //! accumulator that starts at `+0.0` is unchanged by adding `±0.0`, so the
 //! select form is bit-identical to the historical skip form while staying
 //! branch-free.
-//!
-//! Integer accumulation ([`lane_q16_span`]) is exact and associative, so
-//! the q16 path needs no pinning — any batching order is bit-identical.
-
-use crate::q16::Q16;
 
 /// Lane width of the engine (the paper's eight-MAC PE rows).
 pub const LANES: usize = 8;
@@ -243,62 +238,6 @@ impl std::ops::Mul for f32x8 {
     }
 }
 
-/// Eight `i32` lanes (wrapping arithmetic — the q16 kernels' products are
-/// exact in `i32` by construction, so wrapping never fires in practice and
-/// keeps the ops branch-free in debug builds too).
-#[allow(non_camel_case_types)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct i32x8([i32; LANES]);
-
-impl i32x8 {
-    /// All lanes zero.
-    pub const ZERO: Self = Self([0; LANES]);
-
-    /// Wraps an array of lane values.
-    #[inline]
-    pub fn new(v: [i32; LANES]) -> Self {
-        Self(v)
-    }
-
-    /// Broadcasts `v` to every lane.
-    #[inline]
-    pub fn splat(v: i32) -> Self {
-        Self([v; LANES])
-    }
-
-    /// The lane values.
-    #[inline]
-    pub fn to_array(self) -> [i32; LANES] {
-        self.0
-    }
-}
-
-/// Elementwise wrapping lane addition.
-impl std::ops::Add for i32x8 {
-    type Output = Self;
-    #[inline]
-    fn add(self, rhs: Self) -> Self {
-        let mut v = self.0;
-        for (a, b) in v.iter_mut().zip(rhs.0) {
-            *a = a.wrapping_add(b);
-        }
-        Self(v)
-    }
-}
-
-/// Elementwise wrapping lane multiplication.
-impl std::ops::Mul for i32x8 {
-    type Output = Self;
-    #[inline]
-    fn mul(self, rhs: Self) -> Self {
-        let mut v = self.0;
-        for (a, b) in v.iter_mut().zip(rhs.0) {
-            *a = a.wrapping_mul(b);
-        }
-        Self(v)
-    }
-}
-
 lane_kernel! {
     /// The GEMM microkernel: `out[j] += a[0]*b[0][j] + … + a[7]*b[7][j]` for
     /// every `j`, each output element accumulating its eight products in
@@ -406,35 +345,6 @@ pub fn lane_dot_gather(
         p += LANES;
     }
     lanes.tree_sum()
-}
-
-/// Fixed-point MAC span for eight windows at once: for every position `p`
-/// in `lo..hi`, accumulates `item_q[bases[l] + resolved[p]] * wq[p]` into
-/// `accs[l]`. Products are exact in `i32` (15-bit operands) and the `i64`
-/// sums are associative, so any interleaving is bit-identical to the
-/// per-window sequential walk.
-#[inline(never)]
-pub fn lane_q16_span(
-    accs: &mut [i64; LANES],
-    wq: &[Q16],
-    resolved: &[i32],
-    bases: &[i32; LANES],
-    item_q: &[Q16],
-    lo: usize,
-    hi: usize,
-) {
-    for p in lo..hi {
-        let w = i32x8::splat(wq[p].0 as i32);
-        let d = resolved[p];
-        let mut v = [0i32; LANES];
-        for (l, vl) in v.iter_mut().enumerate() {
-            *vl = item_q[(bases[l] + d) as usize].0 as i32;
-        }
-        let prod = (i32x8::new(v) * w).to_array();
-        for (a, p) in accs.iter_mut().zip(prod) {
-            *a += p as i64;
-        }
-    }
 }
 
 lane_kernel! {
@@ -691,7 +601,6 @@ pub fn pinned_dot_ref(values: &[f32], weights: &[f32], m8: usize) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::q16::{Q16Format, QAcc};
     use proptest::prelude::*;
 
     fn lcg(seed: u64, n: usize) -> Vec<f32> {
@@ -859,29 +768,6 @@ mod tests {
                 lane_dot_gather(&w, &order, &taps, &item, m8).to_bits(),
                 pinned_dot_ref(&gathered, &w, m8).to_bits()
             );
-        }
-
-        #[test]
-        fn prop_lane_q16_span_matches_sequential_macs(
-            seed in 0u64..1000,
-            len in 0usize..40,
-            lo_frac in 0usize..8,
-        ) {
-            let fmt = Q16Format::default();
-            let item = crate::q16::quantize_slice(fmt, &lcg(seed + 7, len + 40));
-            let wq = crate::q16::quantize_slice(fmt, &lcg(seed + 8, len));
-            let resolved: Vec<i32> = (0..len).map(|p| ((p * 5) % 32) as i32).collect();
-            let bases: [i32; LANES] = std::array::from_fn(|l| l as i32);
-            let lo = if len == 0 { 0 } else { lo_frac % (len + 1) };
-            let mut accs = [3i64; LANES];
-            lane_q16_span(&mut accs, &wq, &resolved, &bases, &item, lo, len);
-            for (l, &acc) in accs.iter().enumerate() {
-                let mut q = QAcc::from_raw(3);
-                for p in lo..len {
-                    q.mac(item[(bases[l] + resolved[p]) as usize], wq[p]);
-                }
-                prop_assert_eq!(acc, q.raw());
-            }
         }
 
         #[test]

@@ -10,7 +10,7 @@
 //! * [`init`] — deterministic, seeded weight initializers.
 //! * [`q16`] — 16-bit fixed-point arithmetic mirroring the paper's 16-bit
 //!   fixed-point processing engines (Table II of the paper).
-//! * [`lane`] — the eight-wide lane layer: `f32x8`/`i32x8` wrappers, the
+//! * [`lane`] — the eight-wide lane layer: the `f32x8` wrapper, the
 //!   pinned lane-tree reduction order, and the asm-verified SIMD kernels
 //!   behind the GEMM microkernel and the executor walks, dispatched at run
 //!   time to AVX2 instantiations on hosts that have it.

@@ -1,14 +1,13 @@
-//! 16-bit fixed-point arithmetic mirroring the paper's PEs.
+//! 16-bit fixed-point values mirroring the paper's PEs.
 //!
-//! Table II of the paper specifies "16-bit Fixed Point PE"s. The SnaPEA
-//! executor can run its window walks in this representation so that
-//! early-termination decisions (sign checks, threshold comparisons) are made
-//! on the same quantised partial sums the hardware would see.
+//! Table II of the paper specifies "16-bit Fixed Point PE"s. The host
+//! computes every result in `f32`; this representation appears only in the
+//! compiled `.snapea` artifact, which stores each predictive kernel's
+//! walk-order weights quantised to a [`Q16Format`].
 //!
 //! The format is Q notation with a configurable number of fractional bits
-//! (default Q8.8 via [`Q16::DEFAULT_FRAC_BITS`]); multiplies accumulate into
-//! a 32-bit register, as hardware MAC units do, and saturate on conversion
-//! back to 16 bits.
+//! (default Q8.8 via [`Q16::DEFAULT_FRAC_BITS`]); conversion from `f32`
+//! rounds to nearest and saturates at the 16-bit rails.
 
 use serde::{Deserialize, Serialize};
 
@@ -27,12 +26,6 @@ impl Q16 {
     /// The raw underlying bits.
     pub fn raw(self) -> i16 {
         self.0
-    }
-
-    /// True if the value is negative (hardware sign-bit check — the single
-    /// AND gate the paper describes for exact-mode termination).
-    pub fn is_negative(self) -> bool {
-        self.0 < 0
     }
 }
 
@@ -83,57 +76,6 @@ impl Q16Format {
     }
 }
 
-/// A 32-bit accumulator for fixed-point MAC chains, as in a hardware MAC
-/// unit: products of two Q(16−f).f values are Q(32−2f).2f and are summed at
-/// full width, avoiding intermediate overflow for realistic window lengths.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct QAcc {
-    acc: i64,
-}
-
-impl QAcc {
-    /// A zeroed accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Multiply-accumulate of two fixed-point operands.
-    pub fn mac(&mut self, a: Q16, b: Q16) {
-        self.acc += a.0 as i64 * b.0 as i64;
-    }
-
-    /// Raw accumulator value (in Q.2f).
-    pub fn raw(self) -> i64 {
-        self.acc
-    }
-
-    /// Rebuilds an accumulator from a raw Q.2f value (the lane kernels
-    /// batch several windows' raw sums and hand them back through here).
-    pub fn from_raw(acc: i64) -> Self {
-        Self { acc }
-    }
-
-    /// Sign-bit of the running partial sum — the hardware's termination
-    /// signal in exact mode.
-    pub fn is_negative(self) -> bool {
-        self.acc < 0
-    }
-
-    /// Converts the accumulator (Q.2f) back to an `f32` given the operand
-    /// format.
-    pub fn to_f32(self, fmt: Q16Format) -> f32 {
-        self.acc as f32 / (1i64 << (2 * fmt.frac_bits())) as f32
-    }
-
-    /// Compares the partial sum against a threshold expressed in the operand
-    /// format (the PAU's predictive comparison). The threshold is widened to
-    /// the accumulator's Q.2f scale before comparing.
-    pub fn below_threshold(self, th: Q16, fmt: Q16Format) -> bool {
-        let widened = (th.0 as i64) << fmt.frac_bits();
-        self.acc < widened
-    }
-}
-
 /// Quantises a slice of `f32` values into fixed point.
 pub fn quantize_slice(fmt: Q16Format, values: &[f32]) -> Vec<Q16> {
     values.iter().map(|&v| fmt.quantize(v)).collect()
@@ -158,32 +100,6 @@ mod tests {
         let fmt = Q16Format::new(8);
         assert_eq!(fmt.quantize(1e9).raw(), i16::MAX);
         assert_eq!(fmt.quantize(-1e9).raw(), i16::MIN);
-    }
-
-    #[test]
-    fn mac_chain_matches_float() {
-        let fmt = Q16Format::new(8);
-        let xs = [0.5_f32, -1.25, 2.0, 0.125];
-        let ws = [1.0_f32, 0.75, -0.5, 2.5];
-        let mut acc = QAcc::new();
-        for (&x, &w) in xs.iter().zip(ws.iter()) {
-            acc.mac(fmt.quantize(x), fmt.quantize(w));
-        }
-        let float: f32 = xs.iter().zip(ws.iter()).map(|(x, w)| x * w).sum();
-        assert!((acc.to_f32(fmt) - float).abs() < 0.02);
-    }
-
-    #[test]
-    fn sign_and_threshold_checks() {
-        let fmt = Q16Format::new(8);
-        let mut acc = QAcc::new();
-        acc.mac(fmt.quantize(1.0), fmt.quantize(-2.0));
-        assert!(acc.is_negative());
-        assert!(acc.below_threshold(fmt.quantize(0.0), fmt));
-        assert!(acc.below_threshold(fmt.quantize(-1.0), fmt));
-        assert!(!acc.below_threshold(fmt.quantize(-3.0), fmt));
-        assert!(fmt.quantize(-0.5).is_negative());
-        assert!(!fmt.quantize(0.5).is_negative());
     }
 
     #[test]

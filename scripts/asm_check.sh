@@ -20,11 +20,6 @@
 # `vfmadd*`: an FMA rounds once and would break bit-identity with the
 # baseline. The lane dot products are not dispatched and are checked once.
 #
-# `lane_q16_span` is deliberately absent from the strict set: its signed
-# 32x32->64-bit widening multiply has no packed form on baseline x86-64
-# (pmuldq is SSE4.1), so LLVM correctly emits unrolled scalar `imul`s. The
-# q16 win comes from the eight-window batching, not SIMD multiplies.
-#
 # The negative smoke runs the same assertion against `seq_dot` — a
 # deliberately sequential scalar reduction (its loop-carried dependency
 # forbids vectorization) — and demands that it FAILS, proving the patterns

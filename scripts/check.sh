@@ -229,11 +229,11 @@ if [ "${SNAPEA_BENCH_STRICT:-0}" = "1" ]; then
     --kernels-out /tmp/BENCH_kernels.strict.json
 fi
 
-# Kernel-engine gate: every before/after kernel bench must report
-# bit_identical:true (perfbench asserts this internally too; the grep keeps
-# the guarantee even if that assert is ever refactored away). Selfcheck
-# passing above plus this means the optimised kernels are provably
-# bit-identical to both the frozen baselines and the oracle reference.
+# Kernel-engine gate: every kernel bench must report bit_identical:true
+# against its independent reference — the oracle walk for the executor and
+# profiling rows, a scalar pinned-order loop for the lane and GEMM rows
+# (perfbench asserts this internally too; the grep keeps the guarantee even
+# if that assert is ever refactored away).
 echo "==> BENCH_kernels bit-identity gate"
 entries=$(grep -o '"kernel_ms"' "$KERNELS_SMOKE" | wc -l)
 identical=$(grep -o '"bit_identical":true' "$KERNELS_SMOKE" | wc -l)
@@ -287,4 +287,11 @@ if "$TOOL" perf-diff "$FIXTURE/perf-deg-k.json" "$FIXTURE/perf-nondeg-k.json" > 
   echo "ERROR: degraded vs non-degraded kernels comparison was not refused"; exit 1
 fi
 
-echo "OK: build, tests (1, 2, and 4 threads), clippy, lint (token + call-graph passes, planted-violation smokes), selfcheck (1, 2, and 4 threads), artifact round-trip + corruption battery + golden fixture, bench smoke (scaling curves), kernel bit-identity, trace export, and perf-diff gates all clean."
+echo "==> snapea-tool perf-diff lane_isa-mismatch smoke (must refuse)"
+printf '{"lane_isa":"avx2","kernels":[{"name":"lane_dot","kernel_ms":1.5}]}\n' > "$FIXTURE/perf-avx2.json"
+printf '{"lane_isa":"baseline","kernels":[{"name":"lane_dot","kernel_ms":1.5}]}\n' > "$FIXTURE/perf-base.json"
+if "$TOOL" perf-diff "$FIXTURE/perf-avx2.json" "$FIXTURE/perf-base.json" > /dev/null 2>&1; then
+  echo "ERROR: avx2 vs baseline lane_isa comparison was not refused"; exit 1
+fi
+
+echo "OK: build, tests (1, 2, and 4 threads), clippy, lint (token + call-graph passes, planted-violation smokes), selfcheck (1, 2, and 4 threads), artifact round-trip + corruption battery + golden fixture, bench smoke (scaling curves), kernel bit-identity, trace export, and perf-diff gates (incl. degraded and lane_isa refusals) all clean."

@@ -10,7 +10,7 @@
 //! bit-for-bit — including counts above the persistent pool's previously
 //! seen size, which exercises lazy pool growth mid-process.
 
-use snapea_suite::core::exec::{execute_conv_q16, execute_conv_stats, LayerConfig};
+use snapea_suite::core::exec::{execute_conv_stats, LayerConfig};
 use snapea_suite::core::optimizer::profiling::profile_layer_kernels;
 use snapea_suite::core::optimizer::{Optimizer, OptimizerConfig};
 use snapea_suite::core::params::KernelParams;
@@ -99,24 +99,6 @@ fn executor_stats_are_bit_identical_across_thread_counts() {
             },
         );
     }
-}
-
-#[test]
-fn executor_q16_is_bit_identical_across_thread_counts() {
-    let (conv, input) = mini_layer();
-    let cfg = LayerConfig::predictive_uniform(&conv, KernelParams::new(0.05, 4));
-    let fmt = q16::Q16Format::default();
-    against_serial(
-        || execute_conv_q16(&conv, &input, &cfg, fmt),
-        |serial, parallel, t| {
-            assert_eq!(
-                serial.output.as_slice(),
-                parallel.output.as_slice(),
-                "{t} threads"
-            );
-            assert_eq!(serial.profile, parallel.profile, "{t} threads");
-        },
-    );
 }
 
 #[test]

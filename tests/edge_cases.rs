@@ -1,13 +1,14 @@
 //! Convolution edge-case matrix, differentially checked against the oracle
-//! references: degenerate kernels, degenerate strides, empty channel axes,
-//! and sign patterns that force 0% or 100% early termination.
+//! references: the common geometries in every mode, degenerate kernels,
+//! degenerate strides, empty channel axes, and sign patterns that force 0%
+//! or 100% early termination.
 
-use snapea_suite::core::exec::{execute_conv, LayerConfig};
-use snapea_suite::core::params::KernelMode;
+use snapea_suite::core::exec::{execute_conv, execute_conv_stats, LayerConfig, PredictionStats};
+use snapea_suite::core::params::{KernelMode, LayerParams};
 use snapea_suite::core::reorder::sign_reorder;
 use snapea_suite::nn::ops::{Conv2d, MaxPool};
-use snapea_suite::oracle::reference;
 use snapea_suite::oracle::OracleRng;
+use snapea_suite::oracle::{harness, reference};
 use snapea_suite::tensor::{ConvGeom, Shape4, Tensor4};
 
 fn conv_from(seed: u64, c_out: usize, c_in: usize, geom: ConvGeom) -> Conv2d {
@@ -67,6 +68,53 @@ fn assert_exact_matches_oracle(conv: &Conv2d, input: &Tensor4) {
             (a.max(0.0) - b.max(0.0)).abs() < 1e-3,
             "post-ReLU mismatch {a} vs {b}"
         );
+    }
+}
+
+/// Exact mode and predictive mode at a small and a `+inf` threshold, each
+/// with stats off and on, must match the oracle walk: output bits, op
+/// counts, and (with stats on) every `PredictionStats` field. The masses
+/// are sums of non-negative values from `+0.0`, never `-0.0` or NaN, so
+/// `==` on them is bit equality.
+#[test]
+fn common_geometries_match_oracle_in_every_mode() {
+    for (seed, geom) in [
+        (50, ConvGeom::square(3, 1, 1)),
+        (51, ConvGeom::square(3, 1, 0)),
+        (52, ConvGeom::square(3, 2, 1)),
+        (53, ConvGeom::square(1, 1, 0)),
+        (54, ConvGeom::square(5, 1, 2)),
+    ] {
+        let conv = conv_from(seed, 5, 3, geom);
+        let input = input_from(seed + 100, Shape4::new(2, 3, 9, 9), 0.0, 1.0);
+        let groups = 4.min(conv.window_len());
+        for params in [
+            LayerParams::Exact,
+            LayerParams::Predictive(vec![KernelMode::spec(0.05, groups); 5]),
+            LayerParams::Predictive(vec![KernelMode::spec(f32::INFINITY, 2); 5]),
+        ] {
+            let case = format!("{geom:?} {params:?}");
+            let oracle =
+                reference::execute_layer(conv.weight(), conv.bias(), geom, &input, &params);
+            let windows = oracle.ops.len() / (2 * 5);
+            let want_stats = harness::oracle_stats(&oracle, 2, 5, windows);
+            let cfg = LayerConfig::from_params(&conv, &params);
+            for (collect_stats, r) in [
+                (false, execute_conv(&conv, &input, &cfg)),
+                (true, execute_conv_stats(&conv, &input, &cfg)),
+            ] {
+                for (i, (a, b)) in r.output.iter().zip(oracle.output.iter()).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{case}: element {i}: {a} vs {b}");
+                }
+                assert_eq!(r.profile.ops_slice(), &oracle.ops[..], "{case}: ops");
+                let want = if collect_stats {
+                    want_stats
+                } else {
+                    PredictionStats::default()
+                };
+                assert_eq!(r.stats, want, "{case}: stats {collect_stats}");
+            }
+        }
     }
 }
 
